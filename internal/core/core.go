@@ -27,12 +27,14 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"maps"
 	"math"
 	"strconv"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/checkpoint"
+	"repro/internal/dist"
 	"repro/internal/obs"
 	"repro/internal/sched"
 	"repro/internal/store"
@@ -360,17 +362,7 @@ func (t *Tuner) notePeakRetained(v int64) {
 func (t *Tuner) regionSeed(name string, round int) int64 {
 	h := fnv.New64a()
 	h.Write([]byte(name))
-	return int64(mix(uint64(t.opts.Seed), h.Sum64()+uint64(round)))
-}
-
-// mix is the SplitMix64 finalizer (same as dist.Mix, duplicated to avoid a
-// dependency cycle risk in future refactors is NOT a concern here; we call
-// through a tiny local copy simply because the hash feeds rand seeds).
-func mix(a, b uint64) uint64 {
-	z := a + 0x9e3779b97f4a7c15*(b+1)
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
+	return int64(dist.Mix(uint64(t.opts.Seed), h.Sum64()+uint64(round)))
 }
 
 // P is a tuning process: the manager of a pool of sampling processes
@@ -394,12 +386,14 @@ type P struct {
 	// snapshotted at the split point, plus everything its own completed
 	// rounds produced or Wait merged back from children. fbNew is the subset
 	// created under this process, handed to the parent when it Waits.
-	// Both are touched only from the process's own logical thread (Split
-	// snapshots before the child goroutine starts, Wait merges after the
-	// children are done), so they need no lock; slices are never mutated in
-	// place, so parent and child views may share backing arrays.
-	fbSeen   map[string][]strategy.Feedback
-	fbNew    map[string][]strategy.Feedback
+	// Both hold bounded views (fbView), not the history itself, so a round
+	// costs the same however many rounds came before it. Both are touched
+	// only from the process's own logical thread (Split snapshots before the
+	// child goroutine starts, Wait merges after the children are done), so
+	// they need no lock; views are never mutated in place, so parent and
+	// child may share them.
+	fbSeen   map[string]fbView
+	fbNew    map[string]fbView
 	children []*P // split order; fixes the Wait merge order
 
 	// Checkpoint identity (set only when the job records). path names this
@@ -411,38 +405,84 @@ type P struct {
 	nsplit int
 }
 
-// feedbackFor returns the feedback visible to this tuning process for a
-// region name, best-first, capped at maxFeedback entries.
-func (p *P) feedbackFor(name string, minimize bool) []strategy.Feedback {
-	fb := append([]strategy.Feedback(nil), p.fbSeen[name]...)
-	strategy.SortBestFirst(fb, minimize)
-	if len(fb) > maxFeedback {
-		fb = fb[:maxFeedback]
+// fbView is a region's feedback as one tuning process sees it: the best
+// maxFeedback entries of its history, best-first, once per score direction
+// (a region's Minimize flag is read per round, so both must stay exact).
+// Within a direction, tied scores keep history order. Views are never
+// mutated in place, so tuning processes may share them.
+type fbView struct{ min, max []strategy.Feedback }
+
+// merge returns the view of v's history followed by w's. Keeping only the
+// best maxFeedback entries per side loses nothing: under a stable sort the
+// best entries of a concatenation are drawn from the best entries of each
+// part, with v's winning ties.
+func (v fbView) merge(w fbView) fbView {
+	return fbView{mergeBest(v.min, w.min, true), mergeBest(v.max, w.max, false)}
+}
+
+// viewOf builds the view of one round's feedback batch.
+func viewOf(fb []strategy.Feedback) fbView {
+	sorted := func(minimize bool) []strategy.Feedback {
+		out := append([]strategy.Feedback(nil), fb...)
+		strategy.SortBestFirst(out, minimize)
+		n := min(len(out), maxFeedback)
+		return out[:n:n]
 	}
-	return fb
+	return fbView{sorted(true), sorted(false)}
+}
+
+// mergeBest merges two best-first lists into the best maxFeedback entries of
+// a followed by b; on a tie the entry from a comes first. An empty side
+// returns the other unchanged, so the result may share a or b.
+func mergeBest(a, b []strategy.Feedback, minimize bool) []strategy.Feedback {
+	if len(b) == 0 {
+		return a
+	}
+	if len(a) == 0 {
+		return b
+	}
+	n := min(len(a)+len(b), maxFeedback)
+	out := make([]strategy.Feedback, 0, n)
+	for len(out) < n {
+		if len(b) == 0 || len(a) > 0 && !strategy.Better(b[0].Score, a[0].Score, minimize) {
+			out = append(out, a[0])
+			a = a[1:]
+		} else {
+			out = append(out, b[0])
+			b = b[1:]
+		}
+	}
+	return out
+}
+
+// feedbackFor returns the feedback visible to this tuning process for a
+// region name, best-first, capped at maxFeedback entries. The slice is
+// shared: callers must not modify it.
+func (p *P) feedbackFor(name string, minimize bool) []strategy.Feedback {
+	if minimize {
+		return p.fbSeen[name].min
+	}
+	return p.fbSeen[name].max
 }
 
 // addFeedback records the feedback one of p's completed rounds produced.
 func (p *P) addFeedback(name string, fb []strategy.Feedback) {
-	if len(fb) == 0 {
-		return
+	if len(fb) > 0 {
+		p.mergeFeedback(name, viewOf(fb))
 	}
-	if p.fbSeen == nil {
-		p.fbSeen = make(map[string][]strategy.Feedback)
-	}
-	if p.fbNew == nil {
-		p.fbNew = make(map[string][]strategy.Feedback)
-	}
-	p.fbSeen[name] = appendFeedback(p.fbSeen[name], fb)
-	p.fbNew[name] = appendFeedback(p.fbNew[name], fb)
 }
 
-// appendFeedback concatenates into a fresh backing array: views inherited
-// across Split share slices, so in-place append would corrupt siblings.
-func appendFeedback(dst, src []strategy.Feedback) []strategy.Feedback {
-	out := make([]strategy.Feedback, 0, len(dst)+len(src))
-	out = append(out, dst...)
-	return append(out, src...)
+// mergeFeedback appends v to the history of region name in both p's visible
+// feedback and the feedback it hands its parent at Wait.
+func (p *P) mergeFeedback(name string, v fbView) {
+	if p.fbSeen == nil {
+		p.fbSeen = make(map[string]fbView)
+	}
+	if p.fbNew == nil {
+		p.fbNew = make(map[string]fbView)
+	}
+	p.fbSeen[name] = p.fbSeen[name].merge(v)
+	p.fbNew[name] = p.fbNew[name].merge(v)
 }
 
 // Tuner returns the engine this process belongs to.
@@ -513,12 +553,7 @@ func (p *P) Split(fn func(child *P) error) {
 		child.path = p.path + "." + strconv.Itoa(p.nsplit)
 		p.nsplit++
 	}
-	if len(p.fbSeen) > 0 {
-		child.fbSeen = make(map[string][]strategy.Feedback, len(p.fbSeen))
-		for name, fb := range p.fbSeen {
-			child.fbSeen[name] = fb
-		}
-	}
+	child.fbSeen = maps.Clone(p.fbSeen)
 	p.children = append(p.children, child)
 	p.wg.Add(1)
 	atomic.AddInt64(&p.pending, 1)
@@ -555,8 +590,8 @@ func (p *P) Wait() error {
 	// the feedback they created into this process's view, in split order, so
 	// the merged list is the same no matter which child finished first.
 	for _, c := range p.children {
-		for name, fb := range c.fbNew {
-			p.addFeedback(name, fb)
+		for name, v := range c.fbNew {
+			p.mergeFeedback(name, v)
 		}
 		c.fbNew, c.fbSeen = nil, nil
 	}

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/agg"
 	"repro/internal/dist"
+	"repro/internal/strategy"
 )
 
 // The hot-path microbenchmarks measure the sample inner loop the way the
@@ -113,4 +114,42 @@ func BenchmarkCommitSteadyState(b *testing.B) {
 			sp.Commit("y", 2.0)
 		}
 	})
+}
+
+// BenchmarkScoredRegionRounds runs one round of a scored 64-sample region per
+// iteration under the feedback-driven MCMC strategy, so round i is handed the
+// feedback of all i-1 rounds before it. Per-round cost must stay flat however
+// large b.N (and with it the feedback history) grows.
+func BenchmarkScoredRegionRounds(b *testing.B) {
+	tuner := New(Options{MaxPool: runtime.NumCPU(), Seed: 1})
+	d := dist.Uniform(0, 1)
+	spec := RegionSpec{
+		Name:     "scored",
+		Samples:  64,
+		Minimize: true,
+		Strategy: strategy.MCMC(strategy.MCMCOptions{}),
+		Score: func(sp *SP) float64 {
+			v, _ := sp.Get("y")
+			return v.(float64)
+		},
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	err := tuner.Run(func(p *P) error {
+		for i := 0; i < b.N; i++ {
+			_, err := p.Region(spec, func(sp *SP) error {
+				x, y := sp.Float("x", d), sp.Float("y", d)
+				sp.Commit("y", (x-0.3)*(x-0.3)+(y-0.7)*(y-0.7))
+				return nil
+			})
+			if err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	b.StopTimer()
+	if err != nil {
+		b.Fatal(err)
+	}
 }

@@ -457,8 +457,8 @@ func (rs *regionState) worker(g, f int, sampler strategy.Sampler) {
 // runSP executes one sampling process: draw, compute, commit, score — with
 // the region's fault policy applied around it. Retryable failures re-attempt
 // with deterministic backoff; a deadline or budget expiry abandons the
-// attempt and commits the distinguished timeout outcome. Exactly one spDone
-// is reported per (group, fold) slot regardless of attempts. It reports
+// attempt and commits the distinguished timeout outcome. Exactly one outcome
+// is committed per (group, fold) slot regardless of attempts. It reports
 // whether the sample ended in the abandoned/timed-out state.
 func (rs *regionState) runSP(ctx context.Context, g, f int, slot *spSlot, sampler strategy.Sampler, body func(sp *SP) error) bool {
 	t := rs.t
@@ -484,16 +484,16 @@ func (rs *regionState) runSP(ctx context.Context, g, f int, slot *spSlot, sample
 		case <-timer.C:
 		case <-ctx.Done():
 			timer.Stop()
-			err = fmt.Errorf("%w during retry backoff: %v", ErrSampleTimeout, ctx.Err())
-			timedOut = true
-		}
-		if timedOut {
-			rs.spDoneTimeout(g, err)
+			rs.spDoneTimeout(g, fmt.Errorf("%w during retry backoff: %v", ErrSampleTimeout, ctx.Err()))
 			return true
 		}
 	}
-	rs.spDone(sp, err, timedOut)
-	return timedOut
+	if timedOut {
+		rs.commitTimeout(g, err) // abandon already traced the outcome
+		return true
+	}
+	rs.spDone(sp, err)
+	return false
 }
 
 // invokeBody runs the sampling body (and the Score callback) with the
@@ -588,17 +588,21 @@ func (rs *regionState) runAttempt(ctx context.Context, g, f, attempt int, slot *
 	}()
 
 	abandon := func(cause error) (*SP, error, bool) {
-		// Abandon the attempt: commit the timeout outcome and release the
-		// wedged slot so Algorithm 1 admission keeps flowing. The body
-		// goroutine is not killed — it unwinds when it next touches the
-		// runtime or observes SP.Context; a body that ignores both keeps its
-		// goroutine until it returns on its own.
+		// Abandon the attempt: report the timeout outcome and release the
+		// wedged slot so Algorithm 1 admission keeps flowing. The outcome is
+		// traced before the release, so a sample admitted into the freed slot
+		// can never trace ahead of it. The body goroutine is not killed — it
+		// unwinds when it next touches the runtime or observes SP.Context; a
+		// body that ignores both keeps its goroutine until it returns on its
+		// own.
 		sp.abandoned.Store(true)
 		if cancel != nil {
 			cancel()
 		}
+		err := fmt.Errorf("%w: %v", ErrSampleTimeout, cause)
+		rs.noteOutcome(g, err, true, false, 0)
 		slot.release(t)
-		return sp, fmt.Errorf("%w: %v", ErrSampleTimeout, cause), true
+		return sp, err, true
 	}
 
 	var timer *time.Timer
@@ -689,6 +693,15 @@ func (rs *regionState) noteOutcome(g int, err error, timedOut, pruned bool, scor
 // short by cancellation: there is no live SP to read, only the outcome.
 func (rs *regionState) spDoneTimeout(g int, err error) {
 	rs.noteOutcome(g, err, true, false, 0)
+	rs.commitTimeout(g, err)
+}
+
+// commitTimeout records a timed-out (group, fold) slot's outcome, already
+// traced by the caller, and advances the barrier bookkeeping. A timed-out
+// process contributes nothing but its distinguished outcome: the monitor
+// must not read the abandoned body's mutable state, and the SP itself is
+// never recycled, since the abandoned body goroutine may still be running.
+func (rs *regionState) commitTimeout(g int, err error) {
 	rs.mu.Lock()
 	if rs.errs[g] == nil {
 		rs.errs[g] = err
@@ -700,27 +713,12 @@ func (rs *regionState) spDoneTimeout(g int, err error) {
 
 // spDone commits the finished sampling process's results into the region
 // (the parent side of rule [AGGR-S]) and advances the barrier bookkeeping.
-// A timed-out process contributes nothing but its distinguished outcome: the
-// monitor must not read the abandoned body's mutable state, so only the
-// immutable sample index is touched on that path — and the SP itself is
-// never recycled, since the abandoned body goroutine may still be running.
 //
 // A successful process's commits are flushed in batches: one ring batch for
 // incrementally aggregated variables (one lock round-trip instead of one per
 // value) and one store batch for the rest.
-func (rs *regionState) spDone(sp *SP, err error, timedOut bool) {
+func (rs *regionState) spDone(sp *SP, err error) {
 	g := sp.group
-	if timedOut {
-		rs.noteOutcome(g, err, true, false, 0)
-		rs.mu.Lock()
-		if rs.errs[g] == nil {
-			rs.errs[g] = err
-		}
-		rs.done++
-		rs.mu.Unlock()
-		rs.barrier.maybeRelease()
-		return
-	}
 	rs.noteOutcome(g, err, false, sp.pruned, sp.score)
 
 	ok := err == nil && !sp.pruned

@@ -32,6 +32,8 @@ type Strategy interface {
 	// Sampler returns the sampler for sampling process idx of n in a region.
 	// seed is the region's deterministic seed; fb is best-first feedback
 	// from earlier rounds of the same region (empty on the first round).
+	// The runtime shares fb across rounds and processes: read it, never
+	// modify it.
 	Sampler(seed int64, idx, n int, fb []Feedback) Sampler
 }
 
@@ -157,26 +159,33 @@ func (s *mcmcSampler) Draw(name string, d dist.Dist) float64 {
 	return d.Perturb(s.r, d.Clamp(cur), s.scale)
 }
 
-// SortBestFirst sorts feedback in place so that fb[0] is the best entry:
-// smallest score when minimize is true, largest otherwise. NaN scores sink
-// to the end. The runtime calls this before handing feedback to a Strategy.
-func SortBestFirst(fb []Feedback, minimize bool) {
-	less := func(a, b float64) bool {
-		if math.IsNaN(a) {
-			return false
-		}
-		if math.IsNaN(b) {
-			return true
-		}
-		if minimize {
-			return a < b
-		}
-		return a > b
+// Better reports whether score a ranks strictly ahead of score b in a
+// best-first feedback list: smaller when minimize is true, larger otherwise.
+// NaN ranks behind every number and ties with another NaN.
+func Better(a, b float64, minimize bool) bool {
+	if math.IsNaN(a) {
+		return false
 	}
-	// Insertion sort: feedback sets are small and this keeps the package
-	// free of sort.Slice closures allocating per call.
+	if math.IsNaN(b) {
+		return true
+	}
+	if minimize {
+		return a < b
+	}
+	return a > b
+}
+
+// SortBestFirst sorts feedback in place so that fb[0] is the best entry
+// under Better: smallest score when minimize is true, largest otherwise,
+// NaN scores last. The sort is stable: entries with tied scores keep their
+// input order. The runtime relies on that to keep each region's feedback as
+// a bounded best-first list that it merges round by round.
+func SortBestFirst(fb []Feedback, minimize bool) {
+	// Insertion sort: stable, and feedback sets are small (one round's
+	// batch); it also keeps the package free of sort.Slice closures
+	// allocating per call.
 	for i := 1; i < len(fb); i++ {
-		for j := i; j > 0 && less(fb[j].Score, fb[j-1].Score); j-- {
+		for j := i; j > 0 && Better(fb[j].Score, fb[j-1].Score, minimize); j-- {
 			fb[j], fb[j-1] = fb[j-1], fb[j]
 		}
 	}

@@ -121,6 +121,29 @@ func TestSortBestFirstNaNSinks(t *testing.T) {
 	}
 }
 
+// The bounded feedback views merge sorted lists and rely on ties keeping
+// their input order, NaN ties included.
+func TestSortBestFirstStable(t *testing.T) {
+	nan := math.NaN()
+	scores := []float64{1, nan, 0, 1, nan, 0, 1}
+	for _, minimize := range []bool{true, false} {
+		fb := make([]Feedback, len(scores))
+		for i, s := range scores {
+			fb[i] = Feedback{Params: map[string]float64{"i": float64(i)}, Score: s}
+		}
+		SortBestFirst(fb, minimize)
+		want := []float64{2, 5, 0, 3, 6, 1, 4}
+		if !minimize {
+			want = []float64{0, 3, 6, 2, 5, 1, 4}
+		}
+		for k, f := range fb {
+			if f.Params["i"] != want[k] {
+				t.Fatalf("minimize=%v: position %d holds input %v, want %v", minimize, k, f.Params["i"], want[k])
+			}
+		}
+	}
+}
+
 // Property: sorting is a permutation and fb[0] is extremal among non-NaN.
 func TestPropertySortBestFirst(t *testing.T) {
 	f := func(scores []float64, minimize bool) bool {
