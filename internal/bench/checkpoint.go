@@ -56,7 +56,8 @@ func EnableCheckpointing(dir string, every int, resume bool) (restore func(), er
 		}
 		runs++
 		label := fmt.Sprintf("run%03d", runs)
-		o.Checkpoint = &core.CheckpointPolicy{Store: store, Every: every, Label: label}
+		o.Checkpoint = &core.CheckpointSpec{Every: every}
+		o.CheckpointTo = &core.CheckpointPolicy{Store: store, Label: label}
 		if resume {
 			st, err := checkpoint.LoadFrom(store, label)
 			if err != nil {

@@ -205,7 +205,7 @@ func TestCheckpointAllBenchmarksParity(t *testing.T) {
 	var tuners []*core.Tuner
 	prevO, prevT := OptionsHook, TunerHook
 	OptionsHook = func(o core.Options) core.Options {
-		o.Checkpoint = &core.CheckpointPolicy{Store: &checkpoint.MemStore{}, Every: 1}
+		o.CheckpointTo = &core.CheckpointPolicy{Store: &checkpoint.MemStore{}}
 		return o
 	}
 	TunerHook = func(tu *core.Tuner) { tuners = append(tuners, tu) }

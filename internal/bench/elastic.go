@@ -127,10 +127,10 @@ func elasticRunJobs(rt *core.Runtime) (ElasticPoint, error) {
 	var wg sync.WaitGroup
 	t0 := time.Now()
 	for i := 0; i < elasticJobs; i++ {
-		job := rt.NewJob(core.JobOptions{
+		job := rt.NewJob(core.JobSpec{
 			Name: fmt.Sprintf("bursty%d", i),
 			Seed: int64(i + 1),
-		})
+		}, core.JobEnv{})
 		wg.Add(1)
 		go func(i int, job *core.Tuner) {
 			defer wg.Done()

@@ -94,13 +94,13 @@ func TestMigrationUnderContention(t *testing.T) {
 	// Baselines, each uninterrupted on its own fleet-backed runtime.
 	exBase := migFleet(t)
 	rtBase := core.NewRuntime(core.RuntimeOptions{MaxPool: 8, Executor: exBase})
-	ctl := rtBase.NewJob(core.JobOptions{Name: "m-ctl", Seed: 11})
+	ctl := rtBase.NewJob(core.JobSpec{Name: "m-ctl", Seed: 11}, core.JobEnv{})
 	wantM, err := migProgram(ctl, rounds, 0)
 	if err != nil {
 		t.Fatalf("control run: %v", err)
 	}
 	ctl.Close()
-	solo := rtBase.NewJob(core.JobOptions{Name: "c-ctl", Seed: 22})
+	solo := rtBase.NewJob(core.JobSpec{Name: "c-ctl", Seed: 22}, core.JobEnv{})
 	wantC, err := migProgram(solo, rounds, 0)
 	if err != nil {
 		t.Fatalf("co-tenant baseline: %v", err)
@@ -117,14 +117,14 @@ func TestMigrationUnderContention(t *testing.T) {
 		err error
 	}
 	coDone := make(chan res, 1)
-	co := rtA.NewJob(core.JobOptions{Name: "c", Seed: 22})
+	co := rtA.NewJob(core.JobSpec{Name: "c", Seed: 22}, core.JobEnv{})
 	go func() {
 		out, err := migProgram(co, rounds, 0)
 		coDone <- res{out, err}
 	}()
 
-	src := rtA.NewJob(core.JobOptions{Name: "m", Seed: 11,
-		Checkpoint: &core.CheckpointPolicy{Store: &checkpoint.MemStore{}, Every: 1}})
+	src := rtA.NewJob(core.JobSpec{Name: "m", Seed: 11},
+		core.JobEnv{CheckpointTo: &core.CheckpointPolicy{Store: &checkpoint.MemStore{}}})
 	if _, err := migProgram(src, rounds, 3); !errors.Is(err, errMigrate) {
 		t.Fatalf("partial run: %v, want errMigrate", err)
 	}
@@ -134,7 +134,7 @@ func TestMigrationUnderContention(t *testing.T) {
 	}
 	src.Close() // drop the source job's fleet-wide state before resuming
 
-	dst, err := rtB.ResumeJob(core.JobOptions{Name: "m"}, st)
+	dst, err := rtB.ResumeJob(core.JobSpec{Name: "m"}, core.JobEnv{Resume: st})
 	if err != nil {
 		t.Fatalf("ResumeJob on second runtime: %v", err)
 	}

@@ -72,11 +72,11 @@ func multiJobElapsed(n int) (time.Duration, error) {
 	var wg sync.WaitGroup
 	t0 := time.Now()
 	for i := 0; i < n; i++ {
-		job := rt.NewJob(core.JobOptions{
+		job := rt.NewJob(core.JobSpec{
 			Name:        fmt.Sprintf("bench%d", i),
 			Seed:        int64(i + 1),
 			MaxParallel: multiJobCap,
-		})
+		}, core.JobEnv{})
 		wg.Add(1)
 		go func(i int, job *core.Tuner) {
 			defer wg.Done()

@@ -10,9 +10,8 @@ import (
 	"sort"
 )
 
-// Frame layout: magic | uvarint version | u32be body length | body | u64be
-// FNV-1a(body). The length is capped well above any realistic checkpoint
-// so a corrupt header cannot drive a huge allocation.
+// Checkpoints travel in a Frame (see frame.go) with this magic; maxBody
+// caps every frame's body length.
 const (
 	magic         = "WBCK"
 	maxBody       = 256 << 20
@@ -136,12 +135,7 @@ func (e *encoder) kvs(kvs []KV) {
 // marshal encodes st into a full framed message backed by a pooled buffer.
 // The caller owns the result and must freeBuf it.
 func marshal(st *State) ([]byte, error) {
-	e := &encoder{b: allocBuf(4 << 10)}
-	e.b = append(e.b, magic...)
-	e.uv(Version)
-	lenAt := len(e.b)
-	e.b = append(e.b, 0, 0, 0, 0) // body length, patched below
-	bodyAt := len(e.b)
+	e := &encoder{b: stateFrame.Start(allocBuf(4 << 10))}
 
 	e.b = append(e.b, st.ID[:]...)
 	e.iv(st.Seed)
@@ -241,14 +235,11 @@ func marshal(st *State) ([]byte, error) {
 		freeBuf(e.b)
 		return nil, e.err
 	}
-	body := e.b[bodyAt:]
-	if len(body) > maxBody {
+	b, err := stateFrame.Seal(e.b)
+	if err != nil {
 		freeBuf(e.b)
-		return nil, fmt.Errorf("checkpoint: body %d bytes exceeds cap %d", len(body), maxBody)
 	}
-	binary.BigEndian.PutUint32(e.b[lenAt:], uint32(len(body)))
-	e.u64(fnv1a(body))
-	return e.b, nil
+	return b, err
 }
 
 // EncodeBytes encodes st into a freshly allocated byte slice.
@@ -453,32 +444,9 @@ func (d *decoder) kvs() []KV {
 // ErrCorrupt (wrapped) for structurally invalid input; it never panics on
 // malformed data.
 func DecodeBytes(data []byte) (*State, error) {
-	if len(data) < len(magic) || string(data[:len(magic)]) != magic {
-		return nil, corruptf("bad magic")
-	}
-	ver, n := binary.Uvarint(data[len(magic):])
-	if n <= 0 {
-		return nil, corruptf("bad version varint")
-	}
-	if ver != Version {
-		return nil, fmt.Errorf("%w: got %d, want %d", ErrCheckpointVersion, ver, Version)
-	}
-	off := len(magic) + n
-	if len(data) < off+4 {
-		return nil, corruptf("truncated header")
-	}
-	blen := int(binary.BigEndian.Uint32(data[off:]))
-	off += 4
-	if blen > maxBody {
-		return nil, corruptf("body length %d exceeds cap %d", blen, maxBody)
-	}
-	if len(data) != off+blen+8 {
-		return nil, corruptf("frame length mismatch: %d body bytes declared, %d present", blen, len(data)-off-8)
-	}
-	body := data[off : off+blen]
-	sum := binary.BigEndian.Uint64(data[off+blen:])
-	if fnv1a(body) != sum {
-		return nil, corruptf("body hash mismatch")
+	body, err := stateFrame.Open(data)
+	if err != nil {
+		return nil, err
 	}
 	return decodeBody(body)
 }
@@ -590,48 +558,26 @@ func decodeBody(body []byte) (*State, error) {
 	return st, nil
 }
 
-// Decode reads one framed checkpoint from r. The body is staged through a
-// pooled buffer that is returned to the pool on every path.
+// Decode reads one framed checkpoint from r, consuming exactly its bytes.
+// The frame is staged through a pooled buffer that is returned to the pool
+// on every path.
 func Decode(r io.Reader) (*State, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, fmt.Errorf("checkpoint: read magic: %w", err)
+	hdr := make([]byte, stateFrame.headerLen())
+	if _, err := io.ReadFull(r, hdr); err != nil {
+		return nil, fmt.Errorf("checkpoint: read header: %w", err)
 	}
-	if string(hdr[:]) != magic {
-		return nil, corruptf("bad magic")
-	}
-	ver, err := binary.ReadUvarint(oneByteReader{r})
+	_, blen, err := stateFrame.header(hdr)
 	if err != nil {
-		return nil, fmt.Errorf("checkpoint: read version: %w", err)
+		return nil, err
 	}
-	if ver != Version {
-		return nil, fmt.Errorf("%w: got %d, want %d", ErrCheckpointVersion, ver, Version)
-	}
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, fmt.Errorf("checkpoint: read length: %w", err)
-	}
-	blen := int(binary.BigEndian.Uint32(hdr[:]))
-	if blen > maxBody {
-		return nil, corruptf("body length %d exceeds cap %d", blen, maxBody)
-	}
-	buf := allocBuf(blen + 8)[:blen+8]
+	buf := append(allocBuf(len(hdr)+blen+8), hdr...)[:len(hdr)+blen+8]
 	defer freeBuf(buf)
-	if _, err := io.ReadFull(r, buf); err != nil {
+	if _, err := io.ReadFull(r, buf[len(hdr):]); err != nil {
 		return nil, fmt.Errorf("checkpoint: read body: %w", err)
 	}
-	body := buf[:blen]
-	if fnv1a(body) != binary.BigEndian.Uint64(buf[blen:]) {
-		return nil, corruptf("body hash mismatch")
+	body, err := stateFrame.Open(buf)
+	if err != nil {
+		return nil, err
 	}
 	return decodeBody(body)
-}
-
-// oneByteReader adapts an io.Reader to io.ByteReader without buffering
-// ahead (the frame after the varint must stay in r).
-type oneByteReader struct{ r io.Reader }
-
-func (o oneByteReader) ReadByte() (byte, error) {
-	var b [1]byte
-	_, err := io.ReadFull(o.r, b[:])
-	return b[0], err
 }

@@ -99,7 +99,7 @@ func TestCheckpointResumeParity(t *testing.T) {
 	wantM := metricsLine(ctl.Metrics())
 
 	cs := &captureStore{}
-	rec := New(Options{MaxPool: 4, Seed: 42, Checkpoint: &CheckpointPolicy{Store: cs, Every: 1}})
+	rec := New(Options{MaxPool: 4, Seed: 42, CheckpointTo: &CheckpointPolicy{Store: cs}})
 	got, err := ckptProgram(rec)
 	if err != nil {
 		t.Fatalf("recorded run: %v", err)
@@ -129,7 +129,7 @@ func TestCheckpointResumeParity(t *testing.T) {
 		}
 		resumed++
 		rt := NewRuntime(RuntimeOptions{MaxPool: 4})
-		job, err := rt.ResumeJob(JobOptions{Name: "resumed"}, st)
+		job, err := rt.ResumeJob(JobSpec{Name: "resumed"}, JobEnv{Resume: st})
 		if err != nil {
 			t.Fatalf("ResumeJob from checkpoint %d: %v", i, err)
 		}
@@ -158,7 +158,7 @@ func TestCheckpointResumeParity(t *testing.T) {
 // io.Writer and decodes back to an equivalent state.
 func TestCheckpointWriterRoundtrip(t *testing.T) {
 	defer leakcheck.Check(t)()
-	job := New(Options{MaxPool: 4, Seed: 7, Checkpoint: &CheckpointPolicy{Store: &checkpoint.MemStore{}}})
+	job := New(Options{MaxPool: 4, Seed: 7, CheckpointTo: &CheckpointPolicy{Store: &checkpoint.MemStore{}}})
 	if _, err := ckptProgram(job); err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -185,7 +185,7 @@ func TestResumeFailurePaths(t *testing.T) {
 	defer leakcheck.Check(t)()
 
 	cs := &captureStore{}
-	src := New(Options{MaxPool: 4, Seed: 3, Checkpoint: &CheckpointPolicy{Store: cs, Every: 1}})
+	src := New(Options{MaxPool: 4, Seed: 3, CheckpointTo: &CheckpointPolicy{Store: cs}})
 	if _, err := ckptProgram(src); err != nil {
 		t.Fatalf("source run: %v", err)
 	}
@@ -201,25 +201,25 @@ func TestResumeFailurePaths(t *testing.T) {
 
 	// Capacity: a one-slot runtime is below the default MinSlots floor.
 	small := NewRuntime(RuntimeOptions{MaxPool: 1})
-	if _, err := small.ResumeJob(JobOptions{}, mid); !errors.Is(err, ErrResumeCapacity) {
+	if _, err := small.ResumeJob(JobSpec{}, JobEnv{Resume: mid}); !errors.Is(err, ErrResumeCapacity) {
 		t.Fatalf("resume on 1-slot runtime: %v, want ErrResumeCapacity", err)
 	}
 
 	// Completed: a final checkpoint has nothing left to resume.
 	rt := NewRuntime(RuntimeOptions{MaxPool: 4})
-	if _, err := rt.ResumeJob(JobOptions{}, final); !errors.Is(err, ErrResumeCompleted) {
+	if _, err := rt.ResumeJob(JobSpec{}, JobEnv{Resume: final}); !errors.Is(err, ErrResumeCompleted) {
 		t.Fatalf("resume of complete checkpoint: %v, want ErrResumeCompleted", err)
 	}
 
 	// The capacity refusal above must not have claimed the capture: the same
 	// state resumes cleanly on an adequate runtime...
-	job, err := rt.ResumeJob(JobOptions{Name: "ok"}, mid)
+	job, err := rt.ResumeJob(JobSpec{Name: "ok"}, JobEnv{Resume: mid})
 	if err != nil {
 		t.Fatalf("resume after prior refusal: %v", err)
 	}
 	defer job.Close()
 	// ...and only the successful resume claims it.
-	if _, err := rt.ResumeJob(JobOptions{Name: "again"}, mid); !errors.Is(err, ErrResumeDuplicate) {
+	if _, err := rt.ResumeJob(JobSpec{Name: "again"}, JobEnv{Resume: mid}); !errors.Is(err, ErrResumeDuplicate) {
 		t.Fatalf("second resume of one capture: %v, want ErrResumeDuplicate", err)
 	}
 }
@@ -240,7 +240,7 @@ func TestCheckpointSingleRunAndNotRecording(t *testing.T) {
 		t.Fatalf("CheckpointState on unrecorded job: %v, want ErrNotRecording", err)
 	}
 
-	job := New(Options{MaxPool: 4, Checkpoint: &CheckpointPolicy{Store: &checkpoint.MemStore{}}})
+	job := New(Options{MaxPool: 4, CheckpointTo: &CheckpointPolicy{Store: &checkpoint.MemStore{}}})
 	noop := func(p *P) error { return nil }
 	if err := job.Run(noop); err != nil {
 		t.Fatalf("first run: %v", err)
@@ -272,7 +272,7 @@ func TestCheckpointDivergence(t *testing.T) {
 	}
 
 	cs := &captureStore{}
-	src := New(Options{MaxPool: 4, Seed: 5, Checkpoint: &CheckpointPolicy{Store: cs, Every: 1}})
+	src := New(Options{MaxPool: 4, Seed: 5, CheckpointTo: &CheckpointPolicy{Store: cs}})
 	if err := prog(src, "a2"); err != nil {
 		t.Fatalf("source run: %v", err)
 	}
@@ -287,7 +287,7 @@ func TestCheckpointDivergence(t *testing.T) {
 	}
 
 	rt := NewRuntime(RuntimeOptions{MaxPool: 4})
-	job, err := rt.ResumeJob(JobOptions{}, st)
+	job, err := rt.ResumeJob(JobSpec{}, JobEnv{Resume: st})
 	if err != nil {
 		t.Fatalf("ResumeJob: %v", err)
 	}

@@ -41,62 +41,30 @@ import (
 	"repro/internal/strategy"
 )
 
-// Options configure a single-job Tuner made with New. They combine what is
-// runtime-wide under the Runtime/job split (pool size, scheduler mode,
-// metrics registry, fault policy, executor — see RuntimeOptions) with the
-// job-scoped settings (seed, budget, incremental aggregation, trace — see
-// JobOptions); New builds a private Runtime from the former and one job
-// from the latter.
+// Options configure a single-job Tuner made with New: one flat literal
+// holding what New splits into a private Runtime and one unlabelled job.
+// Each field means exactly what its namesake means in RuntimeOptions,
+// JobSpec, or JobEnv.
 type Options struct {
-	// MaxPool bounds the number of simultaneously live tuning + sampling
-	// processes (Algorithm 1). Zero means twice the number of CPUs.
-	MaxPool int
-	// Seed makes every run reproducible. The zero seed is a valid seed.
-	Seed int64
-	// Incremental enables incremental aggregation (Sec. IV-B): sample
-	// results for variables with a built-in aggregation strategy are folded
-	// into the aggregate as they are committed instead of being retained
-	// until the end of the region.
-	Incremental bool
-	// DisableScheduler turns Algorithm 1 off (every spawn is admitted
-	// immediately). Used by the Fig. 10 ablation.
+	// Runtime-wide (see RuntimeOptions).
+	MaxPool          int
 	DisableScheduler bool
-	// Trace, when non-nil, records runtime events (region/round/sample
-	// lifecycle, splits) for debugging and for rendering the tuning tree.
-	Trace *Trace
-	// Obs, when non-nil, receives the runtime's metrics: per-region
-	// latency and sample-duration histograms, per-round sample outcome
-	// counters, scheduler admission-wait and pool-occupancy metrics, and
-	// incremental-aggregation ring metrics. Hot-path updates are atomic;
-	// with Obs nil the runtime records nothing.
-	Obs *obs.Registry
-	// Budget, when positive, bounds the total work units the tuner may
-	// spend (Work calls accumulate against it). Once exceeded, regions stop
-	// launching new sampling processes. Work units stand in for the
-	// paper's wall-clock tuning budgets.
-	Budget float64
-	// Fault configures the fault-tolerance layer: per-sample deadlines,
-	// whole-region budgets, and the retry policy. The zero value disables
-	// it (finish-or-panic semantics, as in the paper).
-	Fault FaultPolicy
-	// Executor, when non-nil, runs sampling processes somewhere other than
-	// this process (e.g. a remote worker fleet). Regions the executor
-	// declines — cross-validation groups, bodies with Sync barriers,
-	// unresolvable bodies — fall back to the in-process path. Nil means
-	// everything runs in-process, exactly as before.
-	Executor Executor
-	// Checkpoint, when non-nil, turns on checkpoint recording: the job
-	// journals its rounds and periodically writes a resumable checkpoint to
-	// the policy store. A recorded job supports a single Run.
-	Checkpoint *CheckpointPolicy
-	// Resume, when non-nil, starts the job from a checkpoint: the run
-	// re-executes the tuning program from the beginning with the
-	// checkpoint's seed, replaying pre-checkpoint rounds from the journal
-	// and sampling live from the frontier on. New panics if the checkpoint
-	// cannot be resumed here (completed, already resumed, or the pool is
-	// below its MinSlots floor); Runtime.ResumeJob reports those as typed
-	// errors instead.
-	Resume *checkpoint.State
+	Obs              *obs.Registry
+	Fault            FaultPolicy
+	Executor         Executor
+
+	// The job's settings (see JobSpec).
+	Seed        int64
+	Incremental bool
+	Budget      float64
+	Checkpoint  *CheckpointSpec
+
+	// The job's attachments (see JobEnv). New panics if Resume cannot be
+	// resumed here (completed, already resumed, or the pool is below its
+	// MinSlots floor); Runtime.ResumeJob reports those as typed errors.
+	Trace        *Trace
+	CheckpointTo *CheckpointPolicy
+	Resume       *checkpoint.State
 }
 
 // Metrics report what a tuning run did. All counters are cumulative over
@@ -173,14 +141,15 @@ type regionShape struct {
 // start the program with Run. A Tuner is safe for use by the multiple
 // tuning and sampling processes it manages.
 type Tuner struct {
-	opts    Options
+	spec    JobSpec     // Name is the metric label ("" for New); Seed follows a resume
+	fault   FaultPolicy // spec.Fault, or the runtime's default
+	trace   *Trace
 	rt      *Runtime
 	sched   *sched.Scheduler // == rt's scheduler; cached for the hot path
 	job     *sched.Job       // the job's admission handle (share + cap)
 	jobID   uint64           // runtime-unique; namespaces executor state
-	jobName string           // metric label; "" for single-job compat
 	exposed *store.Exposed
-	obsv    *tunerObs // nil when Options.Obs is nil
+	obsv    *tunerObs // nil when the runtime has no Obs registry
 	rec     *recorder // nil unless checkpointing or resuming
 	closed  atomic.Bool
 
@@ -207,13 +176,11 @@ func New(opts Options) *Tuner {
 		Fault:            opts.Fault,
 		Executor:         opts.Executor,
 	})
-	opts.MaxPool = rt.opts.MaxPool
-	if opts.Resume != nil {
-		if err := rt.validateResume(opts.Resume); err != nil {
-			panic("core: cannot resume checkpoint: " + err.Error())
-		}
-	}
-	return rt.newTuner(opts, uint64(rt.nextJob.Add(1)), "", 1, 0)
+	rt.mustResume(opts.Resume)
+	return rt.newTuner(
+		JobSpec{Seed: opts.Seed, Incremental: opts.Incremental, Budget: opts.Budget, Checkpoint: opts.Checkpoint},
+		JobEnv{Trace: opts.Trace, CheckpointTo: opts.CheckpointTo, Resume: opts.Resume},
+		uint64(rt.nextJob.Add(1)))
 }
 
 // acquire blocks until the scheduler admits one of this job's processes.
@@ -269,7 +236,7 @@ func (t *Tuner) RunContext(ctx context.Context, fn func(p *P) error) error {
 	err := errors.Join(fn(p), p.Wait())
 	if t.rec != nil {
 		err = errors.Join(err, t.rec.divergence())
-		if err == nil && t.rec.policy.Store != nil {
+		if err == nil && t.rec.to.Store != nil {
 			// Mark the checkpoint complete so a restart does not replay a
 			// finished job. Like auto-checkpoints, a failed write is soft:
 			// the run's result is already in hand.
@@ -323,7 +290,7 @@ func (t *Tuner) WorkUsed() float64 {
 // BudgetExceeded reports whether the configured work budget is spent.
 // It is always false when no budget was configured.
 func (t *Tuner) BudgetExceeded() bool {
-	return t.opts.Budget > 0 && t.WorkUsed() >= t.opts.Budget
+	return t.spec.Budget > 0 && t.WorkUsed() >= t.spec.Budget
 }
 
 // Metrics returns a snapshot of the run counters.
@@ -362,7 +329,7 @@ func (t *Tuner) notePeakRetained(v int64) {
 func (t *Tuner) regionSeed(name string, round int) int64 {
 	h := fnv.New64a()
 	h.Write([]byte(name))
-	return int64(dist.Mix(uint64(t.opts.Seed), h.Sum64()+uint64(round)))
+	return int64(dist.Mix(uint64(t.spec.Seed), h.Sum64()+uint64(round)))
 }
 
 // P is a tuning process: the manager of a pool of sampling processes
@@ -543,7 +510,7 @@ func (p *P) Split(fn func(child *P) error) {
 	if !suppress {
 		p.t.ctr.splits.Add(1)
 		p.t.obsv.noteSplit()
-		p.t.opts.Trace.add(Event{Kind: EvSplit, PID: p.pid, Sample: -1})
+		p.t.trace.add(Event{Kind: EvSplit, PID: p.pid, Sample: -1})
 	}
 	// The child and its feedback view are fixed here, at the split point in
 	// the parent's own thread — not when the goroutine gets scheduled — so

@@ -52,8 +52,8 @@ func (rs *regionState) remoteWorker(g int) {
 // does not depend on where its body ran.
 func (rs *regionState) runRemoteSP(g int, slot *spSlot) (ExecResult, error, bool, bool) {
 	t := rs.t
-	ex := t.opts.Executor
-	fp := t.opts.Fault
+	ex := t.rt.opts.Executor
+	fp := t.fault
 	for attempt := 1; ; attempt++ {
 		t.ctr.samples.Add(1)
 		var t0 time.Time
@@ -104,7 +104,7 @@ func (rs *regionState) runRemoteSP(g int, slot *spSlot) (ExecResult, error, bool
 		if rs.ro != nil {
 			rs.ro.retried.Inc()
 		}
-		t.opts.Trace.add(Event{Kind: EvSampleRetry, Region: rs.spec.Name,
+		t.trace.add(Event{Kind: EvSampleRetry, Region: rs.spec.Name,
 			Sample: g, Round: attempt, Err: traceErr(err)})
 		timer := time.NewTimer(fp.backoff(rs.seed, g, attempt+1))
 		select {

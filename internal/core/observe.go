@@ -10,7 +10,7 @@ import (
 // Metric names the runtime registers when Options.Obs is set. Region-scoped
 // metrics carry a region label with the RegionSpec.Name; sample counters
 // additionally carry result=done|pruned|failed. Jobs created on a shared
-// Runtime prepend job=<JobOptions.Name> to every series below, so one
+// Runtime prepend job=<JobSpec.Name> to every series below, so one
 // Prometheus endpoint covers all co-tenant jobs; single-job Tuners made
 // with New stay unlabeled.
 const (

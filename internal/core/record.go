@@ -24,7 +24,7 @@ import (
 // from "this checkpoint is spent" (completed, duplicate).
 var (
 	// ErrNotRecording reports a Checkpoint call on a job created without
-	// Options.Checkpoint or Options.Resume.
+	// a checkpoint spec, a checkpoint store, or a resume state.
 	ErrNotRecording = errors.New("core: job is not recording checkpoints")
 	// ErrCheckpointDiverged reports a resumed run whose re-execution did
 	// not reproduce the journaled history — the tuning program is not
@@ -41,21 +41,17 @@ var (
 	ErrResumeDuplicate = errors.New("core: checkpoint already resumed")
 )
 
-// CheckpointPolicy configures periodic auto-checkpointing of a job. A job
-// with a policy (or a resume state) records its round journal; every Every
+// CheckpointPolicy is the runtime-side half of checkpointing: where a
+// recorded job writes its checkpoints. The job-level half (period and
+// capacity floor) is the spec's CheckpointSpec. Every CheckpointSpec.Every
 // completed rounds the runtime quiesces the job at a round boundary and
 // writes a checkpoint to Store under Label.
 type CheckpointPolicy struct {
 	// Store receives the checkpoints. Nil records the journal without
 	// auto-saving (Job.Checkpoint still works).
 	Store checkpoint.Store
-	// Every is the auto-checkpoint period in completed rounds. Zero means 1.
-	Every int
 	// Label keys the checkpoint in Store. Empty means "job".
 	Label string
-	// MinSlots is the scheduler-capacity floor recorded in the checkpoint;
-	// a Runtime with less capacity refuses to resume it. Zero means 2.
-	MinSlots int
 }
 
 // SnapshotPrimer is implemented by executors that cache content-hashed
@@ -85,9 +81,11 @@ type pathSeq struct {
 // touched only inside gate callbacks, which the gate mutex serializes, so
 // the recorder needs no lock of its own.
 type recorder struct {
-	t      *Tuner
-	policy CheckpointPolicy
-	gate   sched.Quiesce
+	t        *Tuner
+	to       CheckpointPolicy
+	every    int // auto-checkpoint period in rounds
+	minSlots int // capacity floor recorded in checkpoints
+	gate     sched.Quiesce
 
 	runOnce atomic.Bool // a recorded job supports a single Run
 	writing atomic.Bool // one auto-checkpoint writer at a time
@@ -107,25 +105,27 @@ type recorder struct {
 
 // newRecorder attaches recording to t, seeding the journal and the tuner's
 // restored state from st when resuming. Callers have already validated st.
-func newRecorder(t *Tuner, pol *CheckpointPolicy, st *checkpoint.State) *recorder {
+func newRecorder(t *Tuner, cs *CheckpointSpec, to *CheckpointPolicy, st *checkpoint.State) *recorder {
 	r := &recorder{
 		t:        t,
+		every:    1,
+		minSlots: 2,
 		counts:   make(map[string]uint64),
 		frontier: make(map[string]uint64),
 		events:   make(map[pathSeq]checkpoint.Event),
 		rounds:   make(map[pathSeq]*checkpoint.Round),
 	}
-	if pol != nil {
-		r.policy = *pol
+	if cs != nil && cs.Every > 0 {
+		r.every = cs.Every
 	}
-	if r.policy.Every <= 0 {
-		r.policy.Every = 1
+	if cs != nil && cs.MinSlots > 0 {
+		r.minSlots = cs.MinSlots
 	}
-	if r.policy.Label == "" {
-		r.policy.Label = "job"
+	if to != nil {
+		r.to = *to
 	}
-	if r.policy.MinSlots <= 0 {
-		r.policy.MinSlots = 2
+	if r.to.Label == "" {
+		r.to.Label = "job"
 	}
 	if st == nil {
 		return r
@@ -160,7 +160,7 @@ func newRecorder(t *Tuner, pol *CheckpointPolicy, st *checkpoint.State) *recorde
 	}
 	t.exposed.SetEntries(kvs)
 	t.obsv.noteResume()
-	if pr, ok := t.opts.Executor.(SnapshotPrimer); ok {
+	if pr, ok := t.rt.opts.Executor.(SnapshotPrimer); ok {
 		// Best effort: a cold worker cache only costs one snapshot re-ship.
 		_ = pr.PrimeSnapshot(t.jobID, t.exposed)
 	}
@@ -240,7 +240,7 @@ func (r *recorder) exitRound(p *P, seq uint64, round int, rs *regionState, res *
 	r.gate.ExitRound(func() {
 		r.rounds[pathSeq{p.path, seq}] = jr
 		r.roundsSince++
-		if r.policy.Store != nil && r.roundsSince >= r.policy.Every {
+		if r.to.Store != nil && r.roundsSince >= r.every {
 			r.due = true
 		}
 	})
@@ -443,7 +443,7 @@ func (r *recorder) replayRound(p *P, spec *RegionSpec, jr *checkpoint.Round) (*R
 
 	t.obsv.noteReplayedRound()
 
-	if failed == n && n > 0 && !t.opts.Fault.DegradeEmpty {
+	if failed == n && n > 0 && !t.fault.DegradeEmpty {
 		return res, fmt.Errorf("core: region %q: every sampling process failed: %w",
 			spec.Name, errors.Join(res.errs...))
 	}
@@ -482,7 +482,7 @@ func (t *Tuner) SaveErr() error {
 }
 
 // writeCheckpoint quiesces the job, captures its state, and saves it to
-// the policy store.
+// the CheckpointTo store.
 func (r *recorder) writeCheckpoint(complete bool) error {
 	t0 := time.Now()
 	var st *checkpoint.State
@@ -491,7 +491,7 @@ func (r *recorder) writeCheckpoint(complete bool) error {
 	if err != nil {
 		return err
 	}
-	if err := r.policy.Store.Save(r.policy.Label, data); err != nil {
+	if err := r.to.Store.Save(r.to.Label, data); err != nil {
 		return err
 	}
 	r.t.obsv.noteCheckpoint(len(data), time.Since(t0))
@@ -508,8 +508,8 @@ func (r *recorder) writeCheckpoint(complete bool) error {
 func (r *recorder) captureLocked(complete bool) *checkpoint.State {
 	t := r.t
 	st := &checkpoint.State{
-		Seed:     t.opts.Seed,
-		MinSlots: r.policy.MinSlots,
+		Seed:     t.spec.Seed,
+		MinSlots: r.minSlots,
 		Complete: complete,
 		Counters: checkpoint.Counters{
 			Regions:         t.ctr.regions.Load(),
@@ -566,7 +566,7 @@ func (r *recorder) captureLocked(complete bool) *checkpoint.State {
 
 // CheckpointState quiesces the job at its next round boundary and returns
 // its serializable state. It fails with ErrNotRecording unless the job was
-// created with a CheckpointPolicy or a resume state.
+// created recording (a checkpoint spec, store, or resume state).
 func (t *Tuner) CheckpointState() (*checkpoint.State, error) {
 	if t.rec == nil {
 		return nil, ErrNotRecording

@@ -118,8 +118,8 @@ func (p *P) Region(spec RegionSpec, body func(sp *SP) error) (*Result, error) {
 			t0 := time.Now()
 			defer ro.duration.ObserveSince(t0)
 		}
-		t.opts.Trace.add(Event{Kind: EvRegionStart, Region: spec.Name, PID: p.pid, Sample: -1})
-		defer t.opts.Trace.add(Event{Kind: EvRegionEnd, Region: spec.Name, PID: p.pid, Sample: -1})
+		t.trace.add(Event{Kind: EvRegionStart, Region: spec.Name, PID: p.pid, Sample: -1})
+		defer t.trace.add(Event{Kind: EvRegionEnd, Region: spec.Name, PID: p.pid, Sample: -1})
 	}
 
 	if spec.Samples > 0 {
@@ -324,7 +324,7 @@ func (p *P) runRound(spec RegionSpec, n, round int, body func(sp *SP) error) (*R
 		if ro != nil {
 			ro.rounds.Inc()
 		}
-		t.opts.Trace.add(Event{Kind: EvRoundStart, Region: spec.Name, PID: p.pid, Round: round, Sample: -1, N: n})
+		t.trace.add(Event{Kind: EvRoundStart, Region: spec.Name, PID: p.pid, Round: round, Sample: -1, N: n})
 	}
 
 	// The tuning process pauses for the duration of the region (execution
@@ -351,14 +351,14 @@ func (p *P) runRound(spec RegionSpec, n, round int, body func(sp *SP) error) (*R
 		if ro != nil {
 			ro.rounds.Inc()
 		}
-		t.opts.Trace.add(Event{Kind: EvRoundStart, Region: spec.Name, PID: p.pid, Round: round, Sample: -1, N: n})
+		t.trace.add(Event{Kind: EvRoundStart, Region: spec.Name, PID: p.pid, Round: round, Sample: -1, N: n})
 	}
 
 	// The region context carries the whole-round budget (FaultPolicy) on top
 	// of the tuning process's own context; every per-sample deadline derives
 	// from it, so cancelling either level drains the round.
 	ctx := p.Context()
-	if fp := t.opts.Fault; fp.RegionBudget > 0 {
+	if fp := t.fault; fp.RegionBudget > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, fp.RegionBudget)
 		defer cancel()
@@ -394,7 +394,7 @@ func (p *P) runRound(spec RegionSpec, n, round int, body func(sp *SP) error) (*R
 		}
 	}
 	rs.barrier = newBarrier(rs)
-	if t.opts.Incremental && len(rs.incs) > 0 {
+	if t.spec.Incremental && len(rs.incs) > 0 {
 		if len(rs.incs) == 1 {
 			for _, a := range rs.incs {
 				rs.soleInc = a
@@ -416,7 +416,7 @@ func (p *P) runRound(spec RegionSpec, n, round int, body func(sp *SP) error) (*R
 	// Cross-validation groups share draws fold-to-fold, so they stay local;
 	// a region the executor declined once (BeginRound error, or a body that
 	// turned out to use Sync) is skipped for the rest of the run.
-	if ex := t.opts.Executor; ex != nil && k == 1 {
+	if ex := t.rt.opts.Executor; ex != nil && k == 1 {
 		if _, skip := t.execSkip.Load(spec.Name); !skip {
 			h, err := ex.BeginRound(RoundTask{
 				Job:      t.jobID,
@@ -562,7 +562,7 @@ func (rs *regionState) finish() (*Result, error) {
 		if rs.ro != nil {
 			rs.ro.degraded.Inc()
 		}
-		rs.t.opts.Trace.add(Event{Kind: EvRegionDegraded, Region: rs.spec.Name,
+		rs.t.trace.add(Event{Kind: EvRegionDegraded, Region: rs.spec.Name,
 			Sample: -1, N: failed})
 	}
 
@@ -582,7 +582,7 @@ func (rs *regionState) finish() (*Result, error) {
 		timeouts:   timeouts,
 	}
 
-	if failed == rs.n && rs.n > 0 && !rs.t.opts.Fault.DegradeEmpty {
+	if failed == rs.n && rs.n > 0 && !rs.t.fault.DegradeEmpty {
 		return res, fmt.Errorf("core: region %q: every sampling process failed: %w",
 			rs.spec.Name, errors.Join(rs.errs...))
 	}

@@ -21,18 +21,26 @@ type RuntimeOptions struct {
 	// DisableScheduler turns Algorithm 1 off (every spawn is admitted
 	// immediately). Used by the Fig. 10 ablation.
 	DisableScheduler bool
-	// Obs, when non-nil, receives the runtime's metrics. Scheduler and
-	// executor metrics are runtime-wide; region-scoped metrics additionally
-	// carry a job label, so one Prometheus endpoint covers every job.
+	// Obs, when non-nil, receives the runtime's metrics: per-region latency
+	// and sample-duration histograms, per-round sample outcome counters,
+	// scheduler admission-wait and pool-occupancy metrics, and
+	// incremental-aggregation ring metrics. Scheduler and executor metrics
+	// are runtime-wide; region-scoped metrics additionally carry a job
+	// label, so one Prometheus endpoint covers every job. Hot-path updates
+	// are atomic; with Obs nil the runtime records nothing.
 	Obs *obs.Registry
 	// Fault is the default fault-tolerance policy jobs inherit; a job may
-	// override it with JobOptions.Fault.
+	// override it with JobSpec.Fault. The zero value disables the layer
+	// (finish-or-panic semantics, as in the paper).
 	Fault FaultPolicy
 	// Executor, when non-nil, runs sampling processes somewhere other than
-	// this process (e.g. a remote worker fleet shared by every job). Its
-	// capacity joins the Algorithm 1 admission bound: once at runtime
-	// construction, or — when the executor implements ElasticExecutor —
-	// continuously, tracking every fleet scale-up and scale-down.
+	// this process (e.g. a remote worker fleet shared by every job).
+	// Regions the executor declines — cross-validation groups, bodies with
+	// Sync barriers, unresolvable bodies — fall back to the in-process
+	// path. Its capacity joins the Algorithm 1 admission bound: once at
+	// runtime construction, or — when the executor implements
+	// ElasticExecutor — continuously, tracking every fleet scale-up and
+	// scale-down.
 	Executor Executor
 }
 
@@ -89,38 +97,23 @@ func NewRuntime(opts RuntimeOptions) *Runtime {
 	return rt
 }
 
-// JobOptions configure one tuning job on a shared Runtime.
-type JobOptions struct {
-	// Name labels the job in metrics and defaults the trace identity. Empty
-	// means "job<N>" with N the creation ordinal. Job names should be
-	// unique within a runtime; two jobs sharing a name share metric series.
-	Name string
-	// Seed makes the job's runs reproducible, independently of its
-	// co-tenants. The zero seed is a valid seed.
-	Seed int64
-	// Incremental enables incremental aggregation (Sec. IV-B) for this job.
-	Incremental bool
-	// Budget, when positive, bounds the job's total work units.
-	Budget float64
-	// Trace, when non-nil, records the job's runtime events.
+// JobEnv carries what a JobSpec cannot serialise: the process-local
+// attachments a host supplies when it creates a job. The zero value attaches
+// nothing.
+type JobEnv struct {
+	// Trace, when non-nil, records the job's runtime events (region, round
+	// and sample lifecycle, splits) for debugging and for rendering the
+	// tuning tree.
 	Trace *Trace
-	// Fault overrides the runtime's default fault policy for this job when
-	// non-nil.
-	Fault *FaultPolicy
-	// Share is the job's weight in the scheduler's fair admission: under
-	// contention, jobs hold pool slots in proportion to their shares
-	// (weighted max-min). Zero means 1.
-	Share int
-	// MaxParallel, when positive, hard-caps how many pool slots the job's
-	// processes may hold at once — an upper bound layered on top of the
-	// fair share, never a reservation. Zero means no cap.
-	MaxParallel int
-	// Checkpoint, when non-nil, turns on checkpoint recording for this job.
-	// See Options.Checkpoint.
-	Checkpoint *CheckpointPolicy
-	// Resume, when non-nil, starts the job from a checkpoint. NewJob panics
-	// if the checkpoint cannot be resumed here; prefer Runtime.ResumeJob,
-	// which reports the failure as a typed error.
+	// CheckpointTo, when non-nil, names the store and label the job's
+	// checkpoints go to, and turns on recording like JobSpec.Checkpoint.
+	CheckpointTo *CheckpointPolicy
+	// Resume, when non-nil, starts the job from a checkpoint: the run
+	// re-executes the tuning program from the beginning with the
+	// checkpoint's seed, replaying pre-checkpoint rounds from the journal
+	// and sampling live from the frontier on. NewJob panics if the
+	// checkpoint cannot be resumed here; prefer Runtime.ResumeJob, which
+	// reports the failure as a typed error.
 	Resume *checkpoint.State
 }
 
@@ -129,32 +122,39 @@ type JobOptions struct {
 // weighted share, dispatches through the runtime's executor (with its own
 // snapshot namespace), and reports region metrics under its job label.
 // Call Close on the handle when the job is finished to release per-job
-// state held outside this process.
-func (rt *Runtime) NewJob(jo JobOptions) *Tuner {
-	if jo.Resume != nil {
-		if err := rt.validateResume(jo.Resume); err != nil {
-			panic("core: cannot resume checkpoint: " + err.Error())
-		}
-	}
-	return rt.newJob(jo)
+// state held outside this process. The spec is not validated: a direct job
+// needs no program name, and an empty Name defaults to "job<N>".
+func (rt *Runtime) NewJob(spec JobSpec, env JobEnv) *Tuner {
+	rt.mustResume(env.Resume)
+	return rt.newJob(spec, env)
 }
 
-// ResumeJob creates a job that continues from a checkpoint, validating that
-// this runtime can host it. It fails with ErrResumeCompleted for a final
-// checkpoint, ErrResumeCapacity when the scheduler pool is below the
-// checkpoint's MinSlots floor, and ErrResumeDuplicate when the same capture
-// was already resumed in this process. On success the returned job replays
-// the checkpointed history on its next Run and continues live from there —
-// the receiving half of a live migration.
-func (rt *Runtime) ResumeJob(jo JobOptions, st *checkpoint.State) (*Tuner, error) {
-	if st == nil {
+// ResumeJob creates a job that continues from the checkpoint env.Resume,
+// validating that this runtime can host it. It fails with
+// ErrResumeCompleted for a final checkpoint, ErrResumeCapacity when the
+// scheduler pool is below the checkpoint's MinSlots floor, and
+// ErrResumeDuplicate when the same capture was already resumed in this
+// process. On success the returned job replays the checkpointed history on
+// its next Run and continues live from there — the receiving half of a
+// live migration.
+func (rt *Runtime) ResumeJob(spec JobSpec, env JobEnv) (*Tuner, error) {
+	if env.Resume == nil {
 		return nil, errors.New("core: ResumeJob requires a checkpoint state")
 	}
-	if err := rt.validateResume(st); err != nil {
+	if err := rt.validateResume(env.Resume); err != nil {
 		return nil, err
 	}
-	jo.Resume = st
-	return rt.newJob(jo), nil
+	return rt.newJob(spec, env), nil
+}
+
+// mustResume validates a resume state for the panicking constructors.
+func (rt *Runtime) mustResume(st *checkpoint.State) {
+	if st == nil {
+		return
+	}
+	if err := rt.validateResume(st); err != nil {
+		panic("core: cannot resume checkpoint: " + err.Error())
+	}
 }
 
 // validateResume checks that st can be resumed on this runtime and claims
@@ -184,58 +184,46 @@ func (rt *Runtime) validateResume(st *checkpoint.State) error {
 // that one runtime's Close could drop another job's fleet state.
 var nextJobID atomic.Uint64
 
-// newJob assembles a job whose resume state, if any, is already validated.
-func (rt *Runtime) newJob(jo JobOptions) *Tuner {
+// newJob names a job whose resume state, if any, is already validated and
+// assembles it.
+func (rt *Runtime) newJob(spec JobSpec, env JobEnv) *Tuner {
 	ordinal := rt.nextJob.Add(1)
-	name := jo.Name
-	if name == "" {
-		name = fmt.Sprintf("job%d", ordinal)
+	if spec.Name == "" {
+		spec.Name = fmt.Sprintf("job%d", ordinal)
 	}
-	id := nextJobID.Add(1)
-	share := jo.Share
+	return rt.newTuner(spec, env, nextJobID.Add(1))
+}
+
+// newTuner assembles a job handle. An empty spec.Name keeps the pre-runtime
+// metric label scheme (no job label) for the single-job wrapper New.
+func (rt *Runtime) newTuner(spec JobSpec, env JobEnv, id uint64) *Tuner {
+	if env.Resume != nil {
+		// The checkpoint's seed governs the whole resumed run: replayed
+		// rounds were recorded under it, and post-frontier rounds must draw
+		// from the same deterministic stream.
+		spec.Seed = env.Resume.Seed
+	}
+	share := spec.Share
 	if share == 0 {
 		share = 1
 	}
 	fault := rt.opts.Fault
-	if jo.Fault != nil {
-		fault = *jo.Fault
-	}
-	return rt.newTuner(Options{
-		MaxPool:          rt.opts.MaxPool,
-		Seed:             jo.Seed,
-		Incremental:      jo.Incremental,
-		DisableScheduler: rt.opts.DisableScheduler,
-		Trace:            jo.Trace,
-		Obs:              rt.opts.Obs,
-		Budget:           jo.Budget,
-		Fault:            fault,
-		Executor:         rt.opts.Executor,
-		Checkpoint:       jo.Checkpoint,
-		Resume:           jo.Resume,
-	}, id, name, share, jo.MaxParallel)
-}
-
-// newTuner assembles a job handle. label == "" keeps the pre-runtime metric
-// label scheme (no job label) for single-job compatibility wrappers.
-func (rt *Runtime) newTuner(opts Options, id uint64, label string, share, cap int) *Tuner {
-	if opts.Resume != nil {
-		// The checkpoint's seed governs the whole resumed run: replayed
-		// rounds were recorded under it, and post-frontier rounds must draw
-		// from the same deterministic stream.
-		opts.Seed = opts.Resume.Seed
+	if spec.Fault != nil {
+		fault = *spec.Fault
 	}
 	t := &Tuner{
-		opts:    opts,
+		spec:    spec,
+		fault:   fault,
+		trace:   env.Trace,
 		rt:      rt,
 		sched:   rt.sched,
-		job:     sched.NewJob(share, cap),
+		job:     sched.NewJob(share, spec.MaxParallel),
 		jobID:   id,
-		jobName: label,
 		exposed: store.NewExposed(),
-		obsv:    newTunerObs(opts.Obs, label),
+		obsv:    newTunerObs(rt.opts.Obs, spec.Name),
 	}
-	if opts.Checkpoint != nil || opts.Resume != nil {
-		t.rec = newRecorder(t, opts.Checkpoint, opts.Resume)
+	if spec.Checkpoint != nil || env.CheckpointTo != nil || env.Resume != nil {
+		t.rec = newRecorder(t, spec.Checkpoint, env.CheckpointTo, env.Resume)
 	}
 	return t
 }
@@ -264,7 +252,7 @@ func (t *Tuner) Runtime() *Runtime { return t.rt }
 
 // JobName returns the job's metric label ("" for a single-job Tuner made
 // with New).
-func (t *Tuner) JobName() string { return t.jobName }
+func (t *Tuner) JobName() string { return t.spec.Name }
 
 // SlotsInUse reports how many scheduler pool slots the job's processes hold
 // right now.
@@ -278,7 +266,7 @@ func (t *Tuner) Close() {
 	if t.closed.Swap(true) {
 		return
 	}
-	if je, ok := t.opts.Executor.(JobEnder); ok {
+	if je, ok := t.rt.opts.Executor.(JobEnder); ok {
 		je.EndJob(t.jobID)
 	}
 }

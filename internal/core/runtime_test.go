@@ -66,7 +66,7 @@ func TestRuntimeJobsDeterministicUnderContention(t *testing.T) {
 	got := make([]string, len(seeds))
 	var wg sync.WaitGroup
 	for i, seed := range seeds {
-		job := rt.NewJob(JobOptions{Name: fmt.Sprintf("j%d", i), Seed: seed, Share: i + 1})
+		job := rt.NewJob(JobSpec{Name: fmt.Sprintf("j%d", i), Seed: seed, Share: i + 1}, JobEnv{})
 		wg.Add(1)
 		go func(i int, job *Tuner) {
 			defer wg.Done()
@@ -94,7 +94,7 @@ func TestRuntimeJobMetricLabels(t *testing.T) {
 	reg := obs.NewRegistry()
 	rt := NewRuntime(RuntimeOptions{MaxPool: 4, Obs: reg})
 	for _, name := range []string{"alpha", "beta"} {
-		job := rt.NewJob(JobOptions{Name: name, Seed: 1})
+		job := rt.NewJob(JobSpec{Name: name, Seed: 1}, JobEnv{})
 		jobProgram(t, job)
 		job.Close()
 	}
@@ -124,13 +124,13 @@ func TestRuntimeJobMetricLabels(t *testing.T) {
 	}
 }
 
-// TestRuntimeDefaultJobNamesAndShares checks the JobOptions defaults: jobs
+// TestRuntimeDefaultJobNamesAndShares checks the NewJob defaults: jobs
 // are named job<N> in creation order, the zero share means 1, and Close is
 // idempotent.
 func TestRuntimeDefaultJobNamesAndShares(t *testing.T) {
 	rt := NewRuntime(RuntimeOptions{MaxPool: 2})
-	a := rt.NewJob(JobOptions{})
-	b := rt.NewJob(JobOptions{})
+	a := rt.NewJob(JobSpec{}, JobEnv{})
+	b := rt.NewJob(JobSpec{}, JobEnv{})
 	if a.JobName() != "job1" || b.JobName() != "job2" {
 		t.Fatalf("job names = %q, %q", a.JobName(), b.JobName())
 	}

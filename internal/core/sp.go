@@ -462,7 +462,7 @@ func (rs *regionState) worker(g, f int, sampler strategy.Sampler) {
 // whether the sample ended in the abandoned/timed-out state.
 func (rs *regionState) runSP(ctx context.Context, g, f int, slot *spSlot, sampler strategy.Sampler, body func(sp *SP) error) bool {
 	t := rs.t
-	fp := t.opts.Fault
+	fp := t.fault
 	var sp *SP
 	var err error
 	timedOut := false
@@ -475,7 +475,7 @@ func (rs *regionState) runSP(ctx context.Context, g, f int, slot *spSlot, sample
 		if rs.ro != nil {
 			rs.ro.retried.Inc()
 		}
-		t.opts.Trace.add(Event{Kind: EvSampleRetry, Region: rs.spec.Name,
+		t.trace.add(Event{Kind: EvSampleRetry, Region: rs.spec.Name,
 			Sample: g, Round: attempt, Err: traceErr(err)})
 		rs.recycleSP(sp) // the failed attempt's process is dead; reuse it
 		sp = nil
@@ -540,7 +540,7 @@ func (rs *regionState) runAttempt(ctx context.Context, g, f, attempt int, slot *
 	t := rs.t
 	t.ctr.samples.Add(1)
 
-	fp := t.opts.Fault
+	fp := t.fault
 	sctx := ctx
 	var cancel context.CancelFunc
 	if fp.SampleTimeout > 0 {
@@ -667,24 +667,24 @@ func (rs *regionState) noteOutcome(g int, err error, timedOut, pruned bool, scor
 		if rs.ro != nil {
 			rs.ro.timeout.Inc()
 		}
-		rs.t.opts.Trace.add(Event{Kind: EvSampleTimeout, Region: rs.spec.Name,
+		rs.t.trace.add(Event{Kind: EvSampleTimeout, Region: rs.spec.Name,
 			Sample: g, Err: traceErr(err)})
 	case err != nil:
 		if rs.ro != nil {
 			rs.ro.failed.Inc()
 		}
-		rs.t.opts.Trace.add(Event{Kind: EvSampleFailed, Region: rs.spec.Name,
+		rs.t.trace.add(Event{Kind: EvSampleFailed, Region: rs.spec.Name,
 			Sample: g, Err: traceErr(err)})
 	case pruned:
 		if rs.ro != nil {
 			rs.ro.pruned.Inc()
 		}
-		rs.t.opts.Trace.add(Event{Kind: EvSamplePruned, Region: rs.spec.Name, Sample: g})
+		rs.t.trace.add(Event{Kind: EvSamplePruned, Region: rs.spec.Name, Sample: g})
 	default:
 		if rs.ro != nil {
 			rs.ro.done.Inc()
 		}
-		rs.t.opts.Trace.add(Event{Kind: EvSampleDone, Region: rs.spec.Name,
+		rs.t.trace.add(Event{Kind: EvSampleDone, Region: rs.spec.Name,
 			Sample: g, Score: score})
 	}
 }

@@ -1,27 +1,26 @@
 package core
 
 import (
-	"encoding/binary"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
+	"io"
 	"math"
-	"sort"
 	"strings"
-	"time"
+
+	"repro/internal/checkpoint"
 )
 
 // This file defines JobSpec: the declarative, serializable description of
-// one tuning job. Where JobOptions is the in-process assembly struct a
-// Runtime consumes, a JobSpec is what a control plane persists, queues,
-// arbitrates, and restarts: every field is plain data, the program is named
-// rather than passed as a closure, and the encoding is versioned exactly
-// like the checkpoint codec so a spec written today stays readable (or is
-// refused with a typed error) by tomorrow's binary. A spec fully determines
-// a job — running the same spec at the same seed produces byte-identical
-// results whether it was admitted through a jobs manager or handed straight
-// to Runtime.NewJobFromSpec.
+// one tuning job and the single place a job's settings are declared. A
+// JobSpec is what a control plane persists, queues, arbitrates, and
+// restarts: every field is plain data, and the program is named rather than
+// passed as a closure. What a spec cannot carry (a trace, a checkpoint
+// store, a resume state) travels beside it in a JobEnv. A spec fully
+// determines a job — running the same spec at the same seed produces
+// byte-identical results whether it was admitted through a jobs manager or
+// handed straight to Runtime.NewJob.
 
 // Job-spec errors. Decode failures wrap ErrSpecVersion or ErrSpecCorrupt
 // (mirroring checkpoint.ErrCheckpointVersion/ErrCorrupt); validation
@@ -38,13 +37,15 @@ var (
 	ErrSpecInvalid = errors.New("core: invalid job spec")
 )
 
-// SpecVersion is the current job-spec codec version. Bump it on any
-// incompatible change to the encoded layout; decoders refuse other versions
-// outright rather than guessing.
+// SpecVersion is the current job-spec layout version: the JSON shape of
+// JobSpec. Bump it on any incompatible change; Validate refuses other
+// versions outright rather than guessing.
 const SpecVersion = 1
 
-// specMagic prefixes every encoded spec.
-const specMagic = "WBJS"
+// specFrame frames persisted specs. Frame version 1 carried a hand-rolled
+// binary body; version 2 carries the spec's canonical JSON, so a version-1
+// file left by an older binary is refused with ErrSpecVersion.
+var specFrame = checkpoint.Frame{Magic: "WBJS", Version: 2, ErrVersion: ErrSpecVersion, ErrCorrupt: ErrSpecCorrupt}
 
 // PriorityClass orders jobs in an admission queue: priorities govern who
 // enters the running set, while weighted shares (JobSpec.Share) keep
@@ -114,41 +115,17 @@ func (c *PriorityClass) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// FaultSpec is the serializable form of FaultPolicy — the same knobs minus
-// nothing: every FaultPolicy field is already plain data. Durations encode
-// as nanoseconds in JSON.
-type FaultSpec struct {
-	SampleTimeout time.Duration `json:"sample_timeout,omitempty"`
-	RegionBudget  time.Duration `json:"region_budget,omitempty"`
-	MaxAttempts   int           `json:"max_attempts,omitempty"`
-	Backoff       time.Duration `json:"backoff,omitempty"`
-	BackoffFactor float64       `json:"backoff_factor,omitempty"`
-	MaxBackoff    time.Duration `json:"max_backoff,omitempty"`
-	DegradeEmpty  bool          `json:"degrade_empty,omitempty"`
-}
-
-// Policy converts the spec into the runtime FaultPolicy.
-func (f FaultSpec) Policy() FaultPolicy {
-	return FaultPolicy{
-		SampleTimeout: f.SampleTimeout,
-		RegionBudget:  f.RegionBudget,
-		MaxAttempts:   f.MaxAttempts,
-		Backoff:       f.Backoff,
-		BackoffFactor: f.BackoffFactor,
-		MaxBackoff:    f.MaxBackoff,
-		DegradeEmpty:  f.DegradeEmpty,
-	}
-}
-
-// CheckpointSpec asks the hosting control plane to record and periodically
-// checkpoint the job. The store and label are deployment concerns the
-// manager supplies; the spec only carries the data that must survive a
-// restart to re-create the policy identically.
+// CheckpointSpec turns on checkpoint recording for the job: it journals
+// its rounds and, when its JobEnv names a store, writes a resumable
+// checkpoint every Every completed rounds. The store and label are
+// deployment concerns the host supplies (see CheckpointPolicy); the spec
+// only carries what must survive a restart to record identically. A
+// recorded job supports a single Run.
 type CheckpointSpec struct {
 	// Every is the auto-checkpoint period in completed rounds. Zero means 1.
 	Every int `json:"every,omitempty"`
-	// MinSlots is the scheduler-capacity floor recorded in checkpoints
-	// (see CheckpointPolicy.MinSlots). Zero means 2.
+	// MinSlots is the scheduler-capacity floor recorded in checkpoints; a
+	// Runtime with less capacity refuses to resume them. Zero means 2.
 	MinSlots int `json:"min_slots,omitempty"`
 }
 
@@ -164,34 +141,47 @@ type JobSpec struct {
 	SpecVersion int `json:"spec_version,omitempty"`
 	// Name uniquely identifies the job within a manager and labels its
 	// metrics. It doubles as a persistence label, so it must not contain
-	// path separators or "..".
+	// path separators or "..". Runtime.NewJob names an unnamed job
+	// "job<N>", N its creation ordinal on the runtime; two jobs sharing a
+	// name on one runtime share metric series.
 	Name string `json:"name"`
 	// Tenant is the quota and rate-limit identity. Empty means the default
 	// (unquota'd) tenant.
 	Tenant string `json:"tenant,omitempty"`
 	// Class is the admission-queue priority class.
 	Class PriorityClass `json:"class,omitempty"`
-	// Program names the registered tuning program the job runs.
+	// Program names the registered tuning program the job runs. A job made
+	// directly on a Runtime runs whatever closure is passed to Run, so
+	// Runtime.NewJob does not need it; Validate does.
 	Program string `json:"program"`
 	// Args parameterize the program (scene names, stage sizes, ...); the
 	// program factory parses them. Encoded sorted by key, so a spec's bytes
 	// are canonical.
 	Args map[string]string `json:"args,omitempty"`
 	// Seed makes the job reproducible: a spec plus its seed fully
-	// determines the job's results.
+	// determines the job's results, independently of its co-tenants. The
+	// zero seed is a valid seed.
 	Seed int64 `json:"seed"`
-	// Budget, when positive, bounds the job's total work units.
+	// Budget, when positive, bounds the total work units the job may spend
+	// (Work calls accumulate against it). Once exceeded, regions stop
+	// launching new sampling processes. Work units stand in for the
+	// paper's wall-clock tuning budgets.
 	Budget float64 `json:"budget,omitempty"`
-	// Incremental enables incremental aggregation (Sec. IV-B).
+	// Incremental enables incremental aggregation (Sec. IV-B): sample
+	// results for variables with a built-in aggregation strategy are folded
+	// into the aggregate as they are committed instead of being retained
+	// until the end of the region.
 	Incremental bool `json:"incremental,omitempty"`
-	// Share is the job's weight in the scheduler's fair admission once
-	// running. Zero means 1.
+	// Share is the job's weight in the scheduler's fair admission: under
+	// contention, jobs hold pool slots in proportion to their shares
+	// (weighted max-min). Zero means 1.
 	Share int `json:"share,omitempty"`
-	// MaxParallel hard-caps the job's concurrently held pool slots. Zero
-	// means no cap.
+	// MaxParallel, when positive, hard-caps how many pool slots the job's
+	// processes may hold at once — an upper bound layered on top of the
+	// fair share, never a reservation. Zero means no cap.
 	MaxParallel int `json:"max_parallel,omitempty"`
 	// Fault overrides the runtime's default fault policy when non-nil.
-	Fault *FaultSpec `json:"fault,omitempty"`
+	Fault *FaultPolicy `json:"fault,omitempty"`
 	// Checkpoint asks for checkpoint recording when non-nil.
 	Checkpoint *CheckpointSpec `json:"checkpoint,omitempty"`
 }
@@ -231,37 +221,6 @@ func (s *JobSpec) Validate() error {
 	return nil
 }
 
-// Options converts the spec into the JobOptions a Runtime consumes. The
-// checkpoint policy is not included: its store and label are supplied by
-// whatever manages the job (see CheckpointSpec).
-func (s *JobSpec) Options() JobOptions {
-	jo := JobOptions{
-		Name:        s.Name,
-		Seed:        s.Seed,
-		Incremental: s.Incremental,
-		Budget:      s.Budget,
-		Share:       s.Share,
-		MaxParallel: s.MaxParallel,
-	}
-	if s.Fault != nil {
-		fp := s.Fault.Policy()
-		jo.Fault = &fp
-	}
-	return jo
-}
-
-// NewJobFromSpec creates one job from its declarative spec — the
-// spec-driven face of NewJob. It validates the spec and returns the job
-// handle; everything a JobSpec cannot carry (checkpoint stores, resume
-// states) stays with the lower-level NewJob/ResumeJob surface that jobs
-// managers drive.
-func (rt *Runtime) NewJobFromSpec(spec JobSpec) (*Tuner, error) {
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	return rt.newJob(spec.Options()), nil
-}
-
 // NoteQueuedJobs feeds the scheduler's admission-queue accounting: a jobs
 // manager holding specs in front of the running set reports each enqueue
 // (+1) and dequeue (-1), flagging high-priority entries, so LoadStats — and
@@ -271,240 +230,55 @@ func (rt *Runtime) NoteQueuedJobs(high bool, delta int) {
 	rt.sched.NoteQueuedJobs(high, delta)
 }
 
-// --- versioned binary codec (checkpoint-codec conventions: magic, uvarint
-// version, u32 body length, body, FNV-1a trailer) ---
+// ParseSpec strictly parses one JSON job spec: unknown fields and trailing
+// data are refused with ErrSpecInvalid, then the spec is validated. It is
+// the one parser for specs from outside the process, submitted over HTTP or
+// read back from a persisted frame.
+func ParseSpec(data []byte) (*JobSpec, error) {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	s := &JobSpec{}
+	if err := dec.Decode(s); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrSpecInvalid, err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("%w: trailing data after the spec", ErrSpecInvalid)
+	}
+	if err := s.Validate(); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
 
-// EncodeSpec encodes the spec canonically: args are written sorted by key,
-// so equal specs produce equal bytes.
+// EncodeSpec encodes a valid spec as its canonical JSON (struct fields in
+// declaration order, args sorted by key) inside a checkpoint.Frame, so
+// equal specs produce equal bytes.
 func EncodeSpec(s *JobSpec) ([]byte, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	var body []byte
-	put := func(b ...byte) { body = append(body, b...) }
-	uv := func(v uint64) { body = binary.AppendUvarint(body, v) }
-	iv := func(v int64) { body = binary.AppendVarint(body, v) }
-	str := func(v string) { uv(uint64(len(v))); put([]byte(v)...) }
-	f64 := func(v float64) {
-		var b [8]byte
-		binary.BigEndian.PutUint64(b[:], math.Float64bits(v))
-		put(b[:]...)
+	body, err := json.Marshal(s)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrSpecInvalid, err)
 	}
-	flag := func(v bool) {
-		if v {
-			put(1)
-		} else {
-			put(0)
-		}
-	}
-
-	uv(SpecVersion)
-	str(s.Name)
-	str(s.Tenant)
-	iv(int64(s.Class))
-	str(s.Program)
-	keys := make([]string, 0, len(s.Args))
-	for k := range s.Args {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	uv(uint64(len(keys)))
-	for _, k := range keys {
-		str(k)
-		str(s.Args[k])
-	}
-	iv(s.Seed)
-	f64(s.Budget)
-	flag(s.Incremental)
-	uv(uint64(s.Share))
-	uv(uint64(s.MaxParallel))
-	flag(s.Fault != nil)
-	if f := s.Fault; f != nil {
-		iv(int64(f.SampleTimeout))
-		iv(int64(f.RegionBudget))
-		uv(uint64(f.MaxAttempts))
-		iv(int64(f.Backoff))
-		f64(f.BackoffFactor)
-		iv(int64(f.MaxBackoff))
-		flag(f.DegradeEmpty)
-	}
-	flag(s.Checkpoint != nil)
-	if c := s.Checkpoint; c != nil {
-		uv(uint64(c.Every))
-		uv(uint64(c.MinSlots))
-	}
-
-	h := fnv.New64a()
-	h.Write(body)
-	out := make([]byte, 0, len(specMagic)+binary.MaxVarintLen64+4+len(body)+8)
-	out = append(out, specMagic...)
-	out = binary.AppendUvarint(out, SpecVersion)
-	var lb [4]byte
-	binary.BigEndian.PutUint32(lb[:], uint32(len(body)))
-	out = append(out, lb[:]...)
-	out = append(out, body...)
-	var tb [8]byte
-	binary.BigEndian.PutUint64(tb[:], h.Sum64())
-	out = append(out, tb[:]...)
-	return out, nil
+	return specFrame.Seal(append(specFrame.Start(nil), body...))
 }
 
-// specDecoder walks an encoded spec body without ever panicking on
-// malformed input: the first structural failure latches and every later
-// read returns zero values.
-type specDecoder struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (d *specDecoder) fail(format string, args ...any) {
-	if d.err == nil {
-		d.err = fmt.Errorf("%w: "+format, append([]any{ErrSpecCorrupt}, args...)...)
-	}
-}
-
-func (d *specDecoder) take(n int) []byte {
-	if d.err != nil || n < 0 || n > len(d.b)-d.off {
-		d.fail("truncated body")
-		return nil
-	}
-	v := d.b[d.off : d.off+n]
-	d.off += n
-	return v
-}
-
-func (d *specDecoder) u8() uint8 {
-	v := d.take(1)
-	if v == nil {
-		return 0
-	}
-	return v[0]
-}
-
-func (d *specDecoder) uv() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.b[d.off:])
-	if n <= 0 {
-		d.fail("bad uvarint")
-		return 0
-	}
-	d.off += n
-	return v
-}
-
-func (d *specDecoder) iv() int64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(d.b[d.off:])
-	if n <= 0 {
-		d.fail("bad varint")
-		return 0
-	}
-	d.off += n
-	return v
-}
-
-func (d *specDecoder) f64() float64 {
-	v := d.take(8)
-	if v == nil {
-		return 0
-	}
-	return math.Float64frombits(binary.BigEndian.Uint64(v))
-}
-
-func (d *specDecoder) str() string {
-	n := d.uv()
-	if n > uint64(len(d.b)-d.off) {
-		d.fail("string length %d exceeds body", n)
-		return ""
-	}
-	return string(d.take(int(n)))
-}
-
-func (d *specDecoder) flag() bool { return d.u8() != 0 }
-
-// DecodeSpec decodes an encoded job spec, refusing unknown versions with
-// ErrSpecVersion and malformed data with errors wrapping ErrSpecCorrupt.
+// DecodeSpec decodes a spec written by EncodeSpec. An unknown frame version
+// (including the retired binary encoding) fails with ErrSpecVersion; a bad
+// frame, or a body that does not parse, validate, or re-encode to the same
+// canonical bytes, fails with ErrSpecCorrupt.
 func DecodeSpec(data []byte) (*JobSpec, error) {
-	if len(data) < len(specMagic)+1 || string(data[:len(specMagic)]) != specMagic {
-		return nil, fmt.Errorf("%w: bad magic", ErrSpecCorrupt)
+	body, err := specFrame.Open(data)
+	if err != nil {
+		return nil, err
 	}
-	rest := data[len(specMagic):]
-	ver, n := binary.Uvarint(rest)
-	if n <= 0 {
-		return nil, fmt.Errorf("%w: bad version varint", ErrSpecCorrupt)
-	}
-	if ver != SpecVersion {
-		return nil, fmt.Errorf("%w: version %d (this binary speaks %d)", ErrSpecVersion, ver, SpecVersion)
-	}
-	rest = rest[n:]
-	if len(rest) < 4 {
-		return nil, fmt.Errorf("%w: truncated length", ErrSpecCorrupt)
-	}
-	bodyLen := int(binary.BigEndian.Uint32(rest[:4]))
-	rest = rest[4:]
-	if len(rest) != bodyLen+8 {
-		return nil, fmt.Errorf("%w: body length %d does not match %d remaining bytes",
-			ErrSpecCorrupt, bodyLen, len(rest)-8)
-	}
-	body, trailer := rest[:bodyLen], rest[bodyLen:]
-	h := fnv.New64a()
-	h.Write(body)
-	if h.Sum64() != binary.BigEndian.Uint64(trailer) {
-		return nil, fmt.Errorf("%w: hash mismatch", ErrSpecCorrupt)
-	}
-
-	d := &specDecoder{b: body}
-	s := &JobSpec{}
-	if v := d.uv(); d.err == nil && v != SpecVersion {
-		return nil, fmt.Errorf("%w: body version %d", ErrSpecVersion, v)
-	}
-	s.Name = d.str()
-	s.Tenant = d.str()
-	s.Class = PriorityClass(d.iv())
-	s.Program = d.str()
-	if n := d.uv(); n > 0 {
-		if n > uint64(len(body)) {
-			d.fail("arg count %d exceeds body", n)
-		} else {
-			s.Args = make(map[string]string, n)
-			for i := uint64(0); i < n && d.err == nil; i++ {
-				k := d.str()
-				s.Args[k] = d.str()
-			}
-		}
-	}
-	s.Seed = d.iv()
-	s.Budget = d.f64()
-	s.Incremental = d.flag()
-	s.Share = int(d.uv())
-	s.MaxParallel = int(d.uv())
-	if d.flag() {
-		s.Fault = &FaultSpec{
-			SampleTimeout: time.Duration(d.iv()),
-			RegionBudget:  time.Duration(d.iv()),
-			MaxAttempts:   int(d.uv()),
-			Backoff:       time.Duration(d.iv()),
-			BackoffFactor: d.f64(),
-			MaxBackoff:    time.Duration(d.iv()),
-			DegradeEmpty:  d.flag(),
-		}
-	}
-	if d.flag() {
-		s.Checkpoint = &CheckpointSpec{Every: int(d.uv()), MinSlots: int(d.uv())}
-	}
-	if d.err != nil {
-		return nil, d.err
-	}
-	if d.off != len(body) {
-		return nil, fmt.Errorf("%w: %d trailing body bytes", ErrSpecCorrupt, len(body)-d.off)
-	}
-	if err := s.Validate(); err != nil {
+	s, err := ParseSpec(body)
+	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrSpecCorrupt, err)
+	}
+	if canon, _ := json.Marshal(s); !bytes.Equal(canon, body) {
+		return nil, fmt.Errorf("%w: body is not the spec's canonical encoding", ErrSpecCorrupt)
 	}
 	return s, nil
 }

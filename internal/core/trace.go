@@ -101,9 +101,9 @@ func traceErr(err error) string {
 	return s
 }
 
-// Trace collects runtime events when installed via Options.Trace. It is
-// safe for concurrent use; collection order is the runtime's completion
-// order, not sample index order.
+// Trace collects runtime events when installed via JobEnv.Trace (or
+// Options.Trace for New). It is safe for concurrent use; collection order
+// is the runtime's completion order, not sample index order.
 type Trace struct {
 	mu     sync.Mutex
 	events []Event

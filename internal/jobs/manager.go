@@ -370,23 +370,19 @@ func (m *Manager) admitLocked(j *job) {
 	j.state = StateAdmitted
 	m.noteState(StateAdmitted)
 
-	jo := j.spec.Options()
+	env := core.JobEnv{Resume: j.resume}
 	if j.spec.Checkpoint != nil || j.resume != nil {
-		pol := &core.CheckpointPolicy{Label: ckptLabel(j.spec.Name)}
-		if c := j.spec.Checkpoint; c != nil {
-			pol.Every, pol.MinSlots = c.Every, c.MinSlots
-		}
+		env.CheckpointTo = &core.CheckpointPolicy{Label: ckptLabel(j.spec.Name)}
 		if m.store != nil {
-			pol.Store = &notifyStore{m: m, j: j, s: m.store}
+			env.CheckpointTo.Store = &notifyStore{m: m, j: j, s: m.store}
 		}
-		jo.Checkpoint = pol
 	}
 	var (
 		t   *core.Tuner
 		err error
 	)
 	if j.resume != nil {
-		t, err = m.opts.Runtime.ResumeJob(jo, j.resume)
+		t, err = m.opts.Runtime.ResumeJob(j.spec, env)
 		if err == nil {
 			j.resumed = true
 			if m.cResumed != nil {
@@ -394,7 +390,7 @@ func (m *Manager) admitLocked(j *job) {
 			}
 		}
 	} else {
-		t = m.opts.Runtime.NewJob(jo)
+		t = m.opts.Runtime.NewJob(j.spec, env)
 	}
 	if err != nil {
 		m.finishLocked(j, "", err, false)

@@ -99,10 +99,7 @@ func RunDirect(ctx context.Context, rt *core.Runtime, reg *Registry, spec core.J
 	if err != nil {
 		return "", nil, err
 	}
-	t, err := rt.NewJobFromSpec(spec)
-	if err != nil {
-		return "", nil, err
-	}
+	t := rt.NewJob(spec, core.JobEnv{})
 	defer t.Close()
 	var (
 		mu     sync.Mutex

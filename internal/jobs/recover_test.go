@@ -2,7 +2,12 @@ package jobs
 
 import (
 	"context"
+	"errors"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/checkpoint"
 	"repro/internal/core"
@@ -121,6 +126,72 @@ func TestRestartRecovery(t *testing.T) {
 	requeued, resuming, err = m3.Recover()
 	if err != nil || requeued != 0 || resuming != 0 {
 		t.Fatalf("Recover after clean completion = (%d, %d, %v), want (0, 0, nil)", requeued, resuming, err)
+	}
+}
+
+// TestRecoverRefusesLegacySpec restarts over a store holding a spec written
+// in the retired binary encoding (testdata/spec-legacy.ckpt) next to a
+// current one. Recover must refuse the old spec with a typed error naming
+// its label, and still re-queue the current spec and run it to the same
+// result as RunDirect.
+func TestRecoverRefusesLegacySpec(t *testing.T) {
+	t.Cleanup(leakcheck.Check(t))
+	store, err := checkpoint.NewDirStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacy, err := os.ReadFile(filepath.Join("testdata", "spec-legacy.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Save("spec-legacy", legacy); err != nil {
+		t.Fatal(err)
+	}
+	spec := core.JobSpec{Name: "current", Program: "tune", Seed: 55}
+	data, err := core.EncodeSpec(&spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Save("spec-current", data); err != nil {
+		t.Fatal(err)
+	}
+
+	reg := NewRegistry()
+	reg.Register("tune", func(spec core.JobSpec) (RunFunc, error) {
+		return tuneProgram(3, 0, nil), nil
+	})
+	want, _, err := RunDirect(context.Background(), core.NewRuntime(core.RuntimeOptions{MaxPool: 4}), reg, spec)
+	if err != nil {
+		t.Fatalf("RunDirect: %v", err)
+	}
+
+	m := NewManager(Options{
+		Runtime:  core.NewRuntime(core.RuntimeOptions{MaxPool: 4}),
+		Programs: reg,
+		Store:    store,
+	})
+	defer m.Close()
+	requeued, resuming, err := m.Recover()
+	if !errors.Is(err, core.ErrSpecVersion) && !errors.Is(err, core.ErrSpecCorrupt) {
+		t.Fatalf("Recover error = %v, want one wrapping ErrSpecVersion or ErrSpecCorrupt", err)
+	}
+	if !strings.Contains(err.Error(), "spec-legacy") {
+		t.Fatalf("Recover error %q does not name the legacy label", err)
+	}
+	if requeued != 1 || resuming != 0 {
+		t.Fatalf("Recover = (%d requeued, %d resuming), want (1, 0)", requeued, resuming)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	st, err := m.Wait(ctx, "current")
+	if err != nil {
+		t.Fatalf("Wait: %v", err)
+	}
+	if st.State != StateCompleted || st.Result != want {
+		t.Fatalf("current job: state %q result %q, want completed %q", st.State, st.Result, want)
+	}
+	if _, err := m.Get("legacy"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("legacy spec was queued (Get: %v)", err)
 	}
 }
 

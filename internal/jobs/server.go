@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 
 	"repro/internal/core"
@@ -97,14 +98,17 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var spec core.JobSpec
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad spec JSON: " + err.Error()})
+	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
+	if err != nil {
+		writeJSON(w, http.StatusBadRequest, errorBody{Error: "reading spec: " + err.Error()})
 		return
 	}
-	st, err := s.m.Submit(spec)
+	spec, err := core.ParseSpec(data)
+	if err != nil {
+		writeError(w, err)
+		return
+	}
+	st, err := s.m.Submit(*spec)
 	if err != nil {
 		writeError(w, err)
 		return

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -108,14 +109,23 @@ func TestServerStatusCodes(t *testing.T) {
 		t.Errorf("unknown job: status %d, want 404", resp.StatusCode)
 	}
 	drainClose(t, resp)
-	resp, err = http.Post(srv.URL+"/v1/jobs", "application/json", strings.NewReader(`{"name": `))
-	if err != nil {
-		t.Fatal(err)
+	for _, body := range []string{
+		`{"name": `,
+		// A second JSON value after the spec is refused, not ignored.
+		`{"name":"trailing","program":"wait","seed":1}{"garbage":true}`,
+	} {
+		resp, err = http.Post(srv.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("malformed JSON %q: status %d, want 400", body, resp.StatusCode)
+		}
+		drainClose(t, resp)
 	}
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("malformed JSON: status %d, want 400", resp.StatusCode)
+	if _, err := m.Get("trailing"); !errors.Is(err, ErrNotFound) {
+		t.Errorf("spec with trailing data was queued (Get: %v)", err)
 	}
-	drainClose(t, resp)
 }
 
 // TestServerSubmitStreamInspect is the happy path over HTTP: submit, stream

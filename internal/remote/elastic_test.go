@@ -212,7 +212,7 @@ func TestAffinityHitRateSteadyState(t *testing.T) {
 	errs := make([]error, 2)
 	var wg sync.WaitGroup
 	for i := 0; i < 2; i++ {
-		job := rt.NewJob(core.JobOptions{Name: fmt.Sprintf("aff%d", i), Seed: int64(i + 1)})
+		job := rt.NewJob(core.JobSpec{Name: fmt.Sprintf("aff%d", i), Seed: int64(i + 1)}, core.JobEnv{})
 		wg.Add(1)
 		go func(i int, job *core.Tuner) {
 			defer wg.Done()
@@ -278,7 +278,7 @@ func TestFleetControllerScalesUpAndDown(t *testing.T) {
 		t.Fatalf("Size=%d after Start, want Min=1", got)
 	}
 
-	job := rt.NewJob(core.JobOptions{Name: "burst", Seed: 3})
+	job := rt.NewJob(core.JobSpec{Name: "burst", Seed: 3}, core.JobEnv{})
 	spec, body := SyntheticSpec(16)
 	err := job.Run(func(p *core.P) error {
 		p.Expose(SyntheticServiceKey, 2000)

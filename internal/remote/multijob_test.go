@@ -74,7 +74,7 @@ func TestMultiJobLoopbackParity(t *testing.T) {
 	got := make([]string, len(seeds))
 	var wg sync.WaitGroup
 	for i, seed := range seeds {
-		job := rt.NewJob(core.JobOptions{Name: fmt.Sprintf("mj%d", i), Seed: seed})
+		job := rt.NewJob(core.JobSpec{Name: fmt.Sprintf("mj%d", i), Seed: seed}, core.JobEnv{})
 		wg.Add(1)
 		go func(i int, job *core.Tuner) {
 			defer wg.Done()
@@ -102,8 +102,8 @@ func TestJobCloseReleasesRemoteSnapshots(t *testing.T) {
 	rt := core.NewRuntime(core.RuntimeOptions{MaxPool: 4, Executor: f.ex})
 	w := f.workers[0]
 
-	a := rt.NewJob(core.JobOptions{Name: "a", Seed: 1})
-	b := rt.NewJob(core.JobOptions{Name: "b", Seed: 2})
+	a := rt.NewJob(core.JobSpec{Name: "a", Seed: 1}, core.JobEnv{})
+	b := rt.NewJob(core.JobSpec{Name: "b", Seed: 2}, core.JobEnv{})
 	multiJobProgram(t, a, "cla")
 	multiJobProgram(t, b, "clb")
 	if snaps, jobs := snapCount(w); snaps < 2 || jobs != 2 {
@@ -123,7 +123,7 @@ func TestJobCloseReleasesRemoteSnapshots(t *testing.T) {
 
 	// A cancelled job must return its scheduler slots even with samples in
 	// flight at cancellation time.
-	c := rt.NewJob(core.JobOptions{Name: "c", Seed: 3})
+	c := rt.NewJob(core.JobSpec{Name: "c", Seed: 3}, core.JobEnv{})
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
 		time.Sleep(10 * time.Millisecond)

@@ -107,6 +107,14 @@ func (j *Job) Share() int {
 	return int(j.share)
 }
 
+// Cap reports the job's hard cap on concurrently held slots (0 = uncapped).
+func (j *Job) Cap() int {
+	if j == nil {
+		return 0
+	}
+	return int(j.cap)
+}
+
 // tryTake claims one job-local slot under the hard cap with a bounded CAS.
 // Nil-safe: an unattributed request always succeeds.
 func (j *Job) tryTake() bool {
