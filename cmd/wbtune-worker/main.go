@@ -37,13 +37,7 @@ func main() {
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "max time to finish in-flight samples on shutdown")
 	keepAlive := flag.Duration("keepalive", 0, "TCP keepalive period on dispatcher connections (0 = stack default, negative = off; tcp/tls only)")
 	maxChunks := flag.Int("max-inflight-chunks", 0, "per-connection bound on concurrently reassembling snapshot chunk streams (0 = protocol default)")
-	proto := flag.Int("proto", 0, "wire protocol version to negotiate: 3 (full snapshot re-ships) or 4 (delta shipping); 0 = latest")
 	flag.Parse()
-
-	if *proto != 0 && *proto != 3 && *proto != 4 {
-		fmt.Fprintf(os.Stderr, "wbtune-worker: -proto must be 3 or 4 (got %d)\n", *proto)
-		os.Exit(2)
-	}
 
 	tr, err := buildTransport(*trName, *tlsCert, *tlsKey)
 	if err != nil {
@@ -69,7 +63,6 @@ func main() {
 		Slots:             *slots,
 		Registry:          remote.Builtins(),
 		MaxInflightChunks: *maxChunks,
-		Protocol:          *proto,
 	})
 
 	sigc := make(chan os.Signal, 1)

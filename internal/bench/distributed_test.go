@@ -83,11 +83,11 @@ func TestWorkerScalingThroughput(t *testing.T) {
 		t.Skip("timing-based; skipped in -short")
 	}
 	t.Cleanup(leakcheck.Check(t))
-	pts, err := RunWorkerScaling(32, 5000, []int{1, 4})
+	pts, err := runWorkerScaling(32, 5000, []int{1, 4})
 	if err != nil {
 		t.Fatalf("scaling run: %v", err)
 	}
-	byMode := map[string]ScalingPoint{}
+	byMode := map[string]scalingPoint{}
 	for _, p := range pts {
 		byMode[p.Mode] = p
 		t.Logf("%-12s %7.1f samples/sec (%.1f ms)", p.Mode, p.SamplesPerSec, p.ElapsedMs)

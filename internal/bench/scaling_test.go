@@ -9,41 +9,31 @@ import (
 	"repro/internal/remote"
 )
 
-// Worker-scaling benchmark: the same synthetic sampling workload run
-// in-process and against loopback worker fleets of increasing size. The
-// synthetic region's cost is a fixed wall-clock service time per sample
-// (simulated compute), so the measurement isolates what the distributed
-// executor adds — dispatch, steal, snapshot shipping, result streaming —
-// and how throughput scales with workers, independent of host core count.
+// Worker-scaling workload: the same synthetic sampling region run in-process
+// and against loopback worker fleets of increasing size. The synthetic
+// region's cost is a fixed wall-clock service time per sample (simulated
+// compute), so the measurement isolates what the distributed executor adds —
+// dispatch, steal, snapshot shipping, result streaming — and how throughput
+// scales with workers, independent of host core count.
 
-// Scaling workload defaults, also used for BENCH_<pr>.json.
-const (
-	scalingSamples       = 64
-	scalingServiceMicros = 2000
-)
-
-// ScalingFleets are the fleet sizes the benchmark sweeps.
-var ScalingFleets = []int{1, 2, 4}
-
-// ScalingPoint is one worker-scaling measurement.
-type ScalingPoint struct {
-	Mode          string  `json:"mode"` // "in-process" or "workers-N"
-	Workers       int     `json:"workers"`
-	Samples       int     `json:"samples"`
-	ElapsedMs     float64 `json:"elapsed_ms"`
-	SamplesPerSec float64 `json:"samples_per_sec"`
+// scalingPoint is one worker-scaling measurement.
+type scalingPoint struct {
+	Mode          string // "in-process" or "workers-N"
+	Samples       int
+	ElapsedMs     float64
+	SamplesPerSec float64
 }
 
-// RunWorkerScaling measures the synthetic workload in-process and against
+// runWorkerScaling measures the synthetic workload in-process and against
 // loopback fleets of the given sizes (single-slot workers, so fleet size is
 // the concurrency). The in-process point is always first.
-func RunWorkerScaling(samples, serviceMicros int, fleets []int) ([]ScalingPoint, error) {
-	pts := make([]ScalingPoint, 0, len(fleets)+1)
+func runWorkerScaling(samples, serviceMicros int, fleets []int) ([]scalingPoint, error) {
+	pts := make([]scalingPoint, 0, len(fleets)+1)
 	el, err := scalingElapsed(nil, samples, serviceMicros)
 	if err != nil {
 		return nil, fmt.Errorf("in-process: %w", err)
 	}
-	pts = append(pts, scalingPoint("in-process", 0, samples, el))
+	pts = append(pts, newScalingPoint("in-process", samples, el))
 	for _, n := range fleets {
 		ex, cleanup, err := loopbackFleet(n)
 		if err != nil {
@@ -54,14 +44,14 @@ func RunWorkerScaling(samples, serviceMicros int, fleets []int) ([]ScalingPoint,
 		if err != nil {
 			return nil, fmt.Errorf("fleet of %d: %w", n, err)
 		}
-		pts = append(pts, scalingPoint(fmt.Sprintf("workers-%d", n), n, samples, el))
+		pts = append(pts, newScalingPoint(fmt.Sprintf("workers-%d", n), samples, el))
 	}
 	return pts, nil
 }
 
-func scalingPoint(mode string, workers, samples int, el time.Duration) ScalingPoint {
-	return ScalingPoint{
-		Mode: mode, Workers: workers, Samples: samples,
+func newScalingPoint(mode string, samples int, el time.Duration) scalingPoint {
+	return scalingPoint{
+		Mode: mode, Samples: samples,
 		ElapsedMs:     float64(el.Nanoseconds()) / 1e6,
 		SamplesPerSec: float64(samples) / el.Seconds(),
 	}
@@ -120,23 +110,4 @@ func scalingElapsed(ex core.Executor, samples, serviceMicros int) (time.Duration
 		return nil
 	})
 	return elapsed, err
-}
-
-// ScalingPerf runs the worker-scaling sweep with the default workload and
-// returns it as perf-report entries, one per point, named
-// worker_scaling_<mode>. SamplesPerSec is aggregate sampling throughput.
-func ScalingPerf() ([]PerfResult, error) {
-	pts, err := RunWorkerScaling(scalingSamples, scalingServiceMicros, ScalingFleets)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]PerfResult, 0, len(pts))
-	for _, p := range pts {
-		out = append(out, PerfResult{
-			Name:          "worker_scaling_" + p.Mode,
-			NsPerOp:       p.ElapsedMs * 1e6 / float64(p.Samples),
-			SamplesPerSec: p.SamplesPerSec,
-		})
-	}
-	return out, nil
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/dist"
@@ -61,5 +62,39 @@ func TestCommitSteadyStateAllocFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("steady-state Commit allocates %.1f objects per call, want 0", allocs)
+	}
+}
+
+// hotPathAllocCeiling bounds the allocations of one steady-state hot-path
+// region (256 samples): 582 recorded when the sampling hot path was
+// overhauled, plus 25%. Most of them are per-sample bookkeeping (the
+// sampling goroutine, ring drain waits); this ceiling keeps them from
+// quietly growing until they are removed.
+const hotPathAllocCeiling = 727
+
+// TestSamplingHotPathAllocCeiling pins the allocations of the
+// BenchmarkSamplingHotPath region once its first run has interned every
+// name and warmed every pool.
+func TestSamplingHotPathAllocCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts under the race detector include re-allocated sync.Pool objects")
+	}
+	var allocs float64
+	tuner := New(Options{MaxPool: runtime.NumCPU(), Seed: 1, Incremental: true})
+	err := tuner.Run(func(p *P) error {
+		p.Expose("input", 0.5)
+		var err error
+		allocs = testing.AllocsPerRun(20, func() {
+			if rerr := hotPathRegion(p); rerr != nil {
+				err = rerr
+			}
+		})
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs > hotPathAllocCeiling {
+		t.Errorf("hot-path region allocates %.0f objects, want <= %d", allocs, hotPathAllocCeiling)
 	}
 }

@@ -12,39 +12,28 @@ import (
 // The hot-path microbenchmarks measure the sample inner loop the way the
 // paper's workloads drive it: a tight region with a cheap body that draws a
 // few tunables in a loop, reads exposed inputs, and commits a scalar result.
-// BenchmarkSamplingHotPath is the sampling-throughput benchmark recorded in
-// BENCH_3.json and gated by CI; the steady-state benchmarks isolate one
-// primitive each.
+// BenchmarkSamplingHotPath is the sampling-throughput benchmark (its
+// allocation count is pinned by TestSamplingHotPathAllocCeiling); the
+// steady-state benchmarks isolate one primitive each.
 
 // hotPathSamples is the per-region sample count of the throughput benchmark:
 // large enough to amortize round setup, small enough to run many rounds.
 const hotPathSamples = 256
+
+// hotPathDist is the hot-path tunables' distribution.
+var hotPathDist = dist.Uniform(0, 1)
 
 // BenchmarkSamplingHotPath runs one sampling-bound region per iteration:
 // tight region, cheap body, MaxPool = NumCPU. The custom samples/sec metric
 // is per sampling process, not per region.
 func BenchmarkSamplingHotPath(b *testing.B) {
 	tuner := New(Options{MaxPool: runtime.NumCPU(), Seed: 1, Incremental: true})
-	d := dist.Uniform(0, 1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	err := tuner.Run(func(p *P) error {
 		p.Expose("input", 0.5)
 		for i := 0; i < b.N; i++ {
-			_, err := p.Region(RegionSpec{
-				Name:      "hot",
-				Samples:   hotPathSamples,
-				Aggregate: map[string]agg.Kind{"y": agg.Avg},
-			}, func(sp *SP) error {
-				acc := 0.0
-				for j := 0; j < 16; j++ {
-					acc += sp.Float("alpha", d) + sp.Float("beta", d)
-					acc += sp.Load("input").(float64)
-				}
-				sp.Commit("y", acc)
-				return nil
-			})
-			if err != nil {
+			if err := hotPathRegion(p); err != nil {
 				return err
 			}
 		}
@@ -55,6 +44,26 @@ func BenchmarkSamplingHotPath(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.ReportMetric(float64(b.N*hotPathSamples)/b.Elapsed().Seconds(), "samples/sec")
+}
+
+// hotPathRegion runs one hot-path region in p, which must expose "input":
+// hotPathSamples sampling processes whose cheap body draws two tunables and
+// reads the input 16 times, aggregated incrementally into one Avg.
+func hotPathRegion(p *P) error {
+	_, err := p.Region(RegionSpec{
+		Name:      "hot",
+		Samples:   hotPathSamples,
+		Aggregate: map[string]agg.Kind{"y": agg.Avg},
+	}, func(sp *SP) error {
+		acc := 0.0
+		for j := 0; j < 16; j++ {
+			acc += sp.Float("alpha", hotPathDist) + sp.Float("beta", hotPathDist)
+			acc += sp.Load("input").(float64)
+		}
+		sp.Commit("y", acc)
+		return nil
+	})
+	return err
 }
 
 // benchInSP runs fn once inside a single sampling process of a minimal

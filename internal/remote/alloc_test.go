@@ -78,6 +78,21 @@ func TestSteadyStateAllocs(t *testing.T) {
 		}
 	})
 
+	// The 1MiB mux round trip reassembles into a pooled buffer. Pinned at
+	// two: the demux's per-stream record, and the slice header boxed when
+	// the reassembly buffer goes back to its pool.
+	// Not counted under the race detector: the buffer pool's dropped puts
+	// re-allocate the 1MiB reassembly buffer.
+	if !raceEnabled {
+		var mt muxTrip
+		mt.init()
+		check("mux_roundtrip_1mib", 2, func() {
+			if err := mt.roundTrip(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+
 	// 5 allocs per result: Params and Commits slices, boxed float and
 	// string commit values, boxed param value — all escape to the caller.
 	check("results_decode_pinned", float64(5*len(batch)), func() {

@@ -11,18 +11,12 @@ import (
 	"repro/internal/strategy"
 )
 
-// protocolVersion is negotiated in the hello frame; a version outside
-// [minProtocolVersion, protocolVersion] rejects the connection rather than
-// misparsing frames. Version 3 adds mux chunk frames (large messages
-// interleave as mChunk streams, see mux.go) on top of version 2's
-// job-namespaced snapshots and rounds. Version 4 adds delta snapshot
-// shipping (mSnapDelta/mSnapNack, see snapdelta.go); v3 workers remain fully
-// served — the dispatcher records each worker's negotiated version and ships
-// them full snapshots only.
-const (
-	protocolVersion    = 4
-	minProtocolVersion = 3
-)
+// protocolVersion is negotiated in the hello frame; any other version
+// rejects the connection rather than misparsing frames. Version 4 carries
+// job-namespaced snapshots and rounds, mux chunk frames (large messages
+// interleave as mChunk streams, see mux.go) and delta snapshot shipping
+// (mSnapDelta/mSnapNack, see snapdelta.go).
+const protocolVersion = 4
 
 // Message type bytes (first payload byte of every frame).
 const (

@@ -222,8 +222,7 @@ type dworker struct {
 	wire       *wire
 	name       string
 	slots      int
-	proto      uint64 // negotiated protocol version; < 4 never receives deltas
-	chunkBound int    // per-connection demux stream bound; 0 = protocol default
+	chunkBound int // per-connection demux stream bound; 0 = protocol default
 	m          *workerMetrics
 
 	// shipMu orders one worker's control frames: under it, a round frame
@@ -348,9 +347,9 @@ func (ex *NetExecutor) addConn(conn net.Conn, transportName string, tn transport
 	if err != nil {
 		return "", err
 	}
-	if hello.Version < minProtocolVersion || hello.Version > protocolVersion {
-		return "", fmt.Errorf("remote: protocol version mismatch: worker %d, dispatcher %d-%d",
-			hello.Version, minProtocolVersion, protocolVersion)
+	if hello.Version != protocolVersion {
+		return "", fmt.Errorf("remote: protocol version mismatch: worker %d, dispatcher %d",
+			hello.Version, protocolVersion)
 	}
 	if hello.Slots < 1 {
 		return "", fmt.Errorf("%w: worker advertises no slots", errCodec)
@@ -384,7 +383,6 @@ func (ex *NetExecutor) addConn(conn net.Conn, transportName string, tn transport
 		wire:       newWire(cc),
 		name:       name,
 		slots:      hello.Slots,
-		proto:      hello.Version,
 		chunkBound: tn.MaxInflightChunks,
 		m:          m,
 		sentSnaps:  make(map[snapKey]bool),
@@ -407,7 +405,7 @@ func (ex *NetExecutor) addConn(conn net.Conn, transportName string, tn transport
 }
 
 // warmWorker pre-ships every cached job snapshot to a just-added worker over
-// the bulk lane (protocol v3 pre-priming), so a scale-up joins the fleet
+// the bulk lane (pre-priming), so a scale-up joins the fleet
 // warm: its first affinity-routed samples park briefly on an in-flight ship
 // instead of paying a full snapshot round-trip at dispatch time.
 func (ex *NetExecutor) warmWorker(w *dworker) {
@@ -438,7 +436,7 @@ func (ex *NetExecutor) warmWorker(w *dworker) {
 }
 
 // queueSnapshotLocked queues the (job, hash) snapshot on w's bulk lane,
-// shipping a delta against a base this worker already holds when the v4
+// shipping a delta against a base this worker already holds when the delta
 // rules allow it and the full encoding otherwise. Callers hold w.shipMu and
 // have checked sentSnaps.
 func (w *dworker) queueSnapshotLocked(job, hash uint64, data []byte) error {
@@ -455,9 +453,8 @@ func (w *dworker) queueSnapshotLocked(job, hash uint64, data []byte) error {
 }
 
 // snapItem decides how (job, hash) reaches w: an mSnapDelta against the
-// newest retained base already queued to this worker when the worker speaks
-// v4 and the cached delta passed the ratio bound; the full encoding
-// otherwise, counting why the delta path was unavailable. Callers hold
+// newest retained base already queued to this worker when the cached delta
+// passed the ratio bound; the full encoding otherwise, counting why the delta path was unavailable. Callers hold
 // w.shipMu (which guards w.sentSnaps); snapMu nests inside it.
 func (ex *NetExecutor) snapItem(w *dworker, sk snapKey, data []byte) bulkItem {
 	full := bulkItem{job: sk.job, hash: sk.hash, data: data}
@@ -493,8 +490,6 @@ func (ex *NetExecutor) snapItem(w *dworker, sk snapKey, data []byte) bulkItem {
 	switch {
 	case !hadBase:
 		// Cold worker for this job: the first ship is necessarily full.
-	case w.proto < snapDeltaProto:
-		ex.countFallback(func(m *fleetMetrics) *obs.Counter { return m.fallbackVer })
 	case best != nil:
 		ex.countSnapBytes(true, len(best.delta))
 		return bulkItem{job: sk.job, hash: sk.hash, delta: best.delta}

@@ -17,11 +17,6 @@ package remote
 // typed mSnapNack refusal, which the dispatcher answers with a full ship.
 // Divergence is impossible to ignore; it is never silent.
 
-// snapDeltaProto is the first protocol version that understands
-// mSnapDelta/mSnapNack; workers negotiating anything older are shipped full
-// snapshots only.
-const snapDeltaProto = 4
-
 // Nack causes: why a worker refused an mSnapDelta.
 const (
 	nackBaseMissing  byte = 1 // the (job, baseHash) encoding is not cached

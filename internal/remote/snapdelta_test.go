@@ -309,37 +309,14 @@ func TestSnapDeltaNackHashMismatch(t *testing.T) {
 	}
 }
 
-// TestSnapDeltaV3Fallback pins a worker to protocol v3: it must join, run
-// byte-identically, and never be sent a delta — every post-change ship falls
-// back to full with cause=version.
-func TestSnapDeltaV3Fallback(t *testing.T) {
-	t.Cleanup(leakcheck.Check(t))
-	local := incrementalProgram(t, core.Options{MaxPool: 4, Seed: 42}, 3, nil)
-
-	reg := NewRegistry()
-	oreg := obs.NewRegistry()
-	f := newFleet(t, 1, 2, ExecutorOptions{Registry: reg, Dynamic: true, Obs: oreg},
-		WorkerOptions{Registry: reg, Protocol: 3})
-	remote := incrementalProgram(t, core.Options{MaxPool: 4, Seed: 42, Executor: f.ex}, 3, nil)
-	if remote != local {
-		t.Fatalf("v3 run diverged from local run:\nlocal:\n%s\nremote:\n%s", local, remote)
-	}
-	if d := f.ex.fm.snapBytesDelta.Value(); d != 0 {
-		t.Fatalf("v3 worker was shipped %d delta bytes", d)
-	}
-	if v := f.ex.fm.fallbackVer.Value(); v == 0 {
-		t.Fatal("expected version-cause fallbacks for the v3 worker")
-	}
-}
-
-// TestSnapshotVersionNegotiation checks the handshake range: v3 and v4
-// workers join, anything outside is rejected.
+// TestSnapshotVersionNegotiation checks the handshake: v4 workers join,
+// any other version is rejected.
 func TestSnapshotVersionNegotiation(t *testing.T) {
 	t.Cleanup(leakcheck.Check(t))
 	for _, tc := range []struct {
 		version uint64
 		ok      bool
-	}{{2, false}, {3, true}, {4, true}, {5, false}} {
+	}{{2, false}, {3, false}, {4, true}, {5, false}} {
 		ex := NewExecutor(ExecutorOptions{Registry: Builtins()})
 		a, b := net.Pipe()
 		go func() {
@@ -403,7 +380,6 @@ func TestSnapshotMetricsExposition(t *testing.T) {
 	for _, want := range []string{
 		MetricSnapshotBytes + `{mode="delta"}`,
 		MetricSnapshotBytes + `{mode="full"}`,
-		MetricSnapDeltaFallback + `{cause="version"}`,
 		MetricSnapDeltaFallback + `{cause="base"}`,
 		MetricSnapDeltaFallback + `{cause="ratio"}`,
 		MetricSnapDeltaFallback + `{cause="nack"}`,
